@@ -494,6 +494,14 @@ pub struct ReservationLedger {
     /// (empty) action it proposed last pass, so only marked words need
     /// rescanning.
     dirty: Vec<u64>,
+    /// Monotone touch counter: bumped by every [`Self::mark_dirty`].
+    epoch: u64,
+    /// Per-ancilla touch stamps: `touched[a]` is the [`Self::epoch`] value
+    /// of `a`'s latest [`Self::mark_dirty`] (0 = never touched). Unlike the
+    /// dirty set this is never cleared, so any number of consumers can ask
+    /// "has queue `a` changed since epoch `e`?" — the engine uses it to skip
+    /// preemption retries whose `NotEligible` verdict cannot have changed.
+    touched: Vec<u64>,
     /// Scratch buffers reused across calls so the steady-state ledger makes
     /// zero heap allocations (see `arena` module docs).
     scratch_tasks: Vec<TaskId>,
@@ -521,6 +529,7 @@ impl ReservationLedger {
             // Everything starts dirty: the first dispatch pass must examine
             // every ancilla once before the incremental frontier takes over.
             dirty: vec![u64::MAX; num_ancillas.div_ceil(64)],
+            touched: vec![0; num_ancillas],
             ..Default::default()
         }
     }
@@ -570,13 +579,33 @@ impl ReservationLedger {
     /// changed, so the next incremental scan must re-evaluate it. Every
     /// ledger mutation marks automatically; engines call this for changes
     /// the ledger cannot observe (fabric occupancy expiring, a preparation
-    /// finishing, a held state being consumed).
+    /// finishing, a held state being consumed). Also advances
+    /// [`Self::epoch`] and stamps `a`'s [`Self::touched_at`].
     pub fn mark_dirty(&mut self, a: u32) {
         let w = (a / 64) as usize;
         if w >= self.dirty.len() {
             self.dirty.resize(w + 1, 0);
         }
         self.dirty[w] |= 1u64 << (a % 64);
+        if a as usize >= self.touched.len() {
+            self.touched.resize(a as usize + 1, 0);
+        }
+        self.epoch += 1;
+        self.touched[a as usize] = self.epoch;
+    }
+
+    /// The current touch epoch: the number of [`Self::mark_dirty`] calls so
+    /// far. A consumer that records it after reading some queues can later
+    /// tell, via [`Self::touched_at`], which of them changed since.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// The [`Self::epoch`] of ancilla `a`'s latest touch (0 if never
+    /// touched). Every ledger mutation of queue `a` touches it, so
+    /// `touched_at(a) <= e` proves the queue is unchanged since epoch `e`.
+    pub fn touched_at(&self, a: u32) -> u64 {
+        self.touched.get(a as usize).copied().unwrap_or(0)
     }
 
     /// The packed dirty words (bit `a` of word `a / 64`); same layout as
@@ -867,32 +896,13 @@ impl ReservationLedger {
         a: u32,
         may_displace: impl Fn(&QueueEntry) -> bool,
     ) -> Preemption {
+        if !self.preempt_eligible(task, a, may_displace) {
+            return Preemption::NotEligible;
+        }
         let q = &self.queues[a as usize];
-        let Some(pos) = q.position(task) else {
-            return Preemption::NotEligible;
-        };
-        if pos == 0 {
-            return Preemption::NotEligible;
-        }
+        let pos = q.position(task).expect("eligible implies an entry");
         let class = q.entry(task).expect("position implies entry").class;
-        let mut class_win = false;
-        for e in q.iter().take(pos) {
-            // Preparations may yield while not yet done (no state is lost);
-            // helper entries are pure claims and may always structurally
-            // yield. Executing or state-holding entries never yield.
-            let structurally_yields = (e.role.is_prep()
-                && matches!(e.status, EntryStatus::Ready | EntryStatus::Preparing))
-                || (e.role == Role::Helper && e.status == EntryStatus::Ready);
-            let may_reorder = match class.cmp(&e.class) {
-                std::cmp::Ordering::Greater => true,
-                std::cmp::Ordering::Equal => may_displace(e),
-                std::cmp::Ordering::Less => false,
-            };
-            if !structurally_yields || !may_reorder {
-                return Preemption::NotEligible;
-            }
-            class_win |= class > e.class;
-        }
+        let class_win = q.iter().take(pos).any(|e| class > e.class);
         let displaced_top = q.top().expect("pos > 0").task;
         // Incremental cycle check. The reorder changes exactly one set of
         // edges: each `task → p` pair this queue contributed (for every
@@ -951,6 +961,46 @@ impl ReservationLedger {
             displaced_top,
             class_won: class_win,
         }
+    }
+
+    /// The eligibility half of [`Self::try_preempt_with`]: whether `task`
+    /// has an entry on ancilla `a` below the top and every entry ahead of
+    /// it may be displaced — structurally, and under the class rule with
+    /// `may_displace` deciding equal classes. `false` is exactly the
+    /// [`Preemption::NotEligible`] outcome; the cycle check is not run and
+    /// nothing is mutated.
+    ///
+    /// The verdict reads only queue `a`'s entries (position, role, status,
+    /// class) and `may_displace`, so for a fixed `may_displace` answer it
+    /// cannot change until [`Self::touched_at`]`(a)` advances.
+    pub fn preempt_eligible(
+        &self,
+        task: TaskId,
+        a: u32,
+        may_displace: impl Fn(&QueueEntry) -> bool,
+    ) -> bool {
+        let q = &self.queues[a as usize];
+        let Some(pos) = q.position(task) else {
+            return false;
+        };
+        if pos == 0 {
+            return false;
+        }
+        let class = q.entry(task).expect("position implies entry").class;
+        q.iter().take(pos).all(|e| {
+            // Preparations may yield while not yet done (no state is lost);
+            // helper entries are pure claims and may always structurally
+            // yield. Executing or state-holding entries never yield.
+            let structurally_yields = (e.role.is_prep()
+                && matches!(e.status, EntryStatus::Ready | EntryStatus::Preparing))
+                || (e.role == Role::Helper && e.status == EntryStatus::Ready);
+            structurally_yields
+                && match class.cmp(&e.class) {
+                    std::cmp::Ordering::Greater => true,
+                    std::cmp::Ordering::Equal => may_displace(e),
+                    std::cmp::Ordering::Less => false,
+                }
+        })
     }
 
     /// Whether `from` reaches any key of `doomed` in the wait-for graph
@@ -1682,5 +1732,102 @@ mod tests {
         assert!(l.update_angle(0, TaskId(1), Angle::S));
         assert_eq!(l.current_edges(), before);
         assert_eq!(l.queue(0).entry(TaskId(1)).unwrap().angle, Angle::S);
+    }
+
+    /// Applies `op` to `l`, asserting it touched ancilla `a` — and only `a`
+    /// — with the new epoch.
+    fn assert_touches(
+        l: &mut ReservationLedger,
+        a: u32,
+        what: &str,
+        op: impl FnOnce(&mut ReservationLedger),
+    ) {
+        let n = l.num_queues() as u32;
+        let before: Vec<u64> = (0..n).map(|b| l.touched_at(b)).collect();
+        let epoch = l.epoch();
+        op(l);
+        assert!(l.touched_at(a) > epoch, "{what} did not touch ancilla {a}");
+        assert_eq!(l.touched_at(a), l.epoch(), "{what}: stamp is the epoch");
+        for b in (0..n).filter(|&b| b != a) {
+            assert_eq!(l.touched_at(b), before[b as usize], "{what} touched {b}");
+        }
+    }
+
+    #[test]
+    fn every_mutator_advances_the_touch_stamp_of_its_ancilla() {
+        let mut l = ReservationLedger::new(3);
+        assert_eq!(l.epoch(), 0);
+        assert!((0..3).all(|a| l.touched_at(a) == 0));
+        assert_touches(&mut l, 0, "push", |l| {
+            l.push(0, prep(2));
+        });
+        assert_touches(&mut l, 0, "push_claim", |l| {
+            l.push_claim(0, route(1), ShardId(0), ShardId(1));
+        });
+        assert_touches(&mut l, 0, "update_angle", |l| {
+            assert!(l.update_angle(0, TaskId(2), Angle::S));
+        });
+        assert_touches(&mut l, 0, "update_class", |l| {
+            assert!(l.update_class(0, TaskId(2), TaskClass::COMPUTE));
+        });
+        assert_touches(&mut l, 0, "set_top_status", |l| {
+            l.set_top_status(0, EntryStatus::Preparing);
+        });
+        assert_touches(&mut l, 0, "set_top_status_if", |l| {
+            l.set_top_status_if(0, TaskId(2), EntryStatus::Ready);
+        });
+        assert_touches(&mut l, 0, "applied try_preempt", |l| {
+            assert!(matches!(
+                l.try_preempt(TaskId(1), 0),
+                Preemption::Applied { .. }
+            ));
+        });
+        assert_touches(&mut l, 0, "pop", |l| {
+            assert_eq!(l.pop(0).unwrap().task, TaskId(1));
+        });
+        assert_touches(&mut l, 0, "remove_task", |l| {
+            assert_eq!(l.remove_task(0, TaskId(2)), 1);
+        });
+        assert!(l.queue(0).is_empty());
+
+        // Refused attempts leave every stamp (and the epoch) alone: a
+        // NotEligible probe on an empty queue and behind a route, and the
+        // naive-yield deadlock's cycle rejection on ancillas 1 and 2.
+        l.push(0, route(0));
+        l.push(0, route(1));
+        l.push(1, prep(4));
+        l.push(1, route(3));
+        l.push(2, prep(4));
+        l.push(2, route(3));
+        let epoch = l.epoch();
+        let stamps: Vec<u64> = (0..3).map(|a| l.touched_at(a)).collect();
+        assert_eq!(l.try_preempt(TaskId(1), 0), Preemption::NotEligible);
+        assert_eq!(l.try_preempt(TaskId(7), 0), Preemption::NotEligible);
+        assert_eq!(l.try_preempt(TaskId(3), 1), Preemption::RejectedCycle);
+        assert_eq!(l.try_preempt(TaskId(3), 2), Preemption::RejectedCycle);
+        assert_eq!(l.epoch(), epoch);
+        assert_eq!((0..3).map(|a| l.touched_at(a)).collect::<Vec<_>>(), stamps);
+    }
+
+    #[test]
+    fn preempt_eligible_mirrors_the_not_eligible_outcome() {
+        let mut l = ReservationLedger::new(2);
+        l.push(0, prep(2));
+        l.push(0, route(1));
+        l.push(1, route(0));
+        l.push(1, route(1));
+        let seniority = |e: &QueueEntry| e.task > TaskId(1);
+        assert!(l.preempt_eligible(TaskId(1), 0, seniority));
+        assert!(!l.preempt_eligible(TaskId(1), 0, |_| false));
+        assert!(
+            !l.preempt_eligible(TaskId(2), 0, |_| true),
+            "already on top"
+        );
+        assert!(!l.preempt_eligible(TaskId(1), 1, |_| true), "route ahead");
+        assert_eq!(l.try_preempt(TaskId(1), 1), Preemption::NotEligible);
+        assert!(matches!(
+            l.try_preempt(TaskId(1), 0),
+            Preemption::Applied { .. }
+        ));
     }
 }

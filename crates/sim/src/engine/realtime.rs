@@ -15,7 +15,10 @@
 //!    CNOT may preempt younger speculative claims here, cross-shard
 //!    preemptions going through the ledger's arbitration
 //!    ([`rescq_core::ReservationLedger::try_preempt_across`]), which
-//!    preserves the acyclicity proof regardless of the shards involved;
+//!    preserves the acyclicity proof regardless of the shards involved.
+//!    A blocked CNOT retries only on path queues touched since its last
+//!    all-`NotEligible` pass (the ledger's touch epochs), and route
+//!    re-plans read queue-cost estimates on demand;
 //! 3. **propose** — shard workers scan their regions of the *frozen*
 //!    engine state in parallel and propose candidate ancillas (reclaims,
 //!    preparation starts/restarts). Workers never mutate;
@@ -81,8 +84,13 @@ const STALL_BREAK_CYCLES: u64 = 300;
 struct EngineScratch {
     /// Propose-phase candidate ancillas (committed in ascending order).
     candidates: Vec<u32>,
-    /// Dense `E[f_a]` vector staged for route planning.
-    expected_free: Vec<u64>,
+    /// Per-plan memo of `E[f_a]` route-cost estimates as `(plan stamp,
+    /// value)`, indexed by ancilla and sized once to the fabric: an entry
+    /// is valid only while its stamp equals `plan_stamp`, so a new plan
+    /// invalidates every estimate with one increment instead of a clear.
+    expected_free: Vec<(u64, u64)>,
+    /// Stamp of the current route plan (see `expected_free`).
+    plan_stamp: u64,
     /// `(depth, insertion index, qubit)` triples for the schedule-phase
     /// priority sort (an unstable sort over this key reproduces the stable
     /// deepest-first order without a merge-sort buffer).
@@ -123,6 +131,13 @@ enum TaskBody {
         /// Round the current path was planned (drives stalled re-planning
         /// on constrained fabrics).
         planned_round: u64,
+        /// Ledger epoch at which every preemption attempt along `path`
+        /// last came back [`Preemption::NotEligible`] (0 = no such pass).
+        /// A path ancilla not touched since then would refuse again, so
+        /// the retry is skipped (see [`RtEngine::try_start_surgery`]). A
+        /// re-plan needs no reset: claiming the new path touches every
+        /// ancilla on it.
+        preempt_checked_at: u64,
     },
     Rz {
         qubit: QubitId,
@@ -462,7 +477,10 @@ pub(crate) fn run_realtime(
         path_cache: PathCache::new(),
         events: EventQueue::new(),
         sched_worklist: Vec::new(),
-        scratch: EngineScratch::default(),
+        scratch: EngineScratch {
+            expected_free: vec![(0, 0); num_ancillas],
+            ..EngineScratch::default()
+        },
         pools: VecPools::default(),
         constrained: 2 * num_ancillas <= 4 * circuit.num_qubits() as usize,
         partition,
@@ -1041,6 +1059,7 @@ impl RtEngine<'_> {
                     rotating: false,
                     surgery_started: false,
                     planned_round: self.clock,
+                    preempt_checked_at: 0,
                 }
             }
             other => unreachable!("free gate {other} reached scheduling"),
@@ -1169,6 +1188,12 @@ impl RtEngine<'_> {
     /// no route exists). `id` matters for re-planning: the task's own
     /// queued Route entries are excluded from the load estimate, so holding
     /// a path never biases the planner against that same path.
+    ///
+    /// The planner reads `E[f_a]` — the sum of expected durations of
+    /// ancilla `a`'s queued operations (§4.2), from the current clock —
+    /// only for the few dozen ancillas on its candidate paths, so each
+    /// estimate is computed on first read and memoised for the rest of
+    /// this plan rather than filled densely over the whole fabric.
     fn plan_cnot_path_into(
         &mut self,
         id: TaskId,
@@ -1176,8 +1201,33 @@ impl RtEngine<'_> {
         target: QubitId,
         best: &mut Vec<AncillaIndex>,
     ) {
-        let mut expected_free = std::mem::take(&mut self.scratch.expected_free);
-        self.fill_expected_free(id, &mut expected_free);
+        let d = self.d as u64;
+        let cnot = self.costs.cnot_cycles as u64 * d;
+        let inj = self.costs.cnot_injection_cycles as u64 * d;
+        let rz = self.rz_entry_cost;
+        let clock = self.clock;
+        let ledger = &self.ledger;
+        self.scratch.plan_stamp += 1;
+        let stamp = self.scratch.plan_stamp;
+        let mut memo = std::mem::take(&mut self.scratch.expected_free);
+        let expected_free = |a: AncillaIndex| {
+            let slot = &mut memo[a as usize];
+            if slot.0 != stamp {
+                let rounds = ledger.queue(a).expected_free_rounds(|e| {
+                    if e.task == id {
+                        return 0;
+                    }
+                    match e.role {
+                        Role::Route => cnot,
+                        Role::Helper => inj,
+                        Role::EdgeRotate => 3 * d,
+                        _ => rz,
+                    }
+                });
+                *slot = (stamp, clock + rounds);
+            }
+            slot.1
+        };
         let mut route = std::mem::take(&mut self.scratch.route);
         let adjacency = self.adjacency;
         let _ = plan_cnot_route_into(
@@ -1192,12 +1242,12 @@ impl RtEngine<'_> {
             &self.fabric.orientation,
             &self.costs,
             self.d,
-            |a| expected_free[a as usize],
+            expected_free,
             &mut route,
             best,
         );
         self.scratch.route = route;
-        self.scratch.expected_free = expected_free;
+        self.scratch.expected_free = memo;
     }
 
     fn plan_and_enqueue_cnot(
@@ -1239,41 +1289,6 @@ impl RtEngine<'_> {
                 host,
             );
         }
-    }
-
-    /// `E[f_a]` for every ancilla into `out`: the sum of expected durations
-    /// of its queued operations (§4.2), excluding entries of `exclude`
-    /// itself. Per-ancilla terms are independent, so the shard executor
-    /// computes region slices in parallel — the planner's hottest read.
-    /// An empty queue's estimate is exactly `clock`, so the fill is sparse
-    /// over the ledger's nonempty bitmap: idle ancillas cost one word-wide
-    /// memset lane instead of a queue walk each.
-    fn fill_expected_free(&self, exclude: TaskId, out: &mut Vec<u64>) {
-        let d = self.d as u64;
-        let cnot = self.costs.cnot_cycles as u64 * d;
-        let inj = self.costs.cnot_injection_cycles as u64 * d;
-        let rz = self.rz_entry_cost;
-        let clock = self.clock;
-        self.exec.fill_u64_sparse_into(
-            &self.partition,
-            self.ledger.nonempty_words(),
-            clock,
-            &|a| {
-                clock
-                    + self.ledger.queue(a).expected_free_rounds(|e| {
-                        if e.task == exclude {
-                            return 0;
-                        }
-                        match e.role {
-                            Role::Route => cnot,
-                            Role::Helper => inj,
-                            Role::EdgeRotate => 3 * d,
-                            _ => rz,
-                        }
-                    })
-            },
-            out,
-        );
     }
 
     // ------------------------------------------------------------------
@@ -1711,6 +1726,7 @@ impl RtEngine<'_> {
             rotating,
             surgery_started,
             planned_round,
+            preempt_checked_at,
         } = self.tasks[id.index()].body
         else {
             return false;
@@ -1744,11 +1760,25 @@ impl RtEngine<'_> {
             // shard-agnostic, so a path spanning several regions preempts
             // across shard boundaries through the same arbitration (the
             // ledger tags such reorders in its cross-shard counter).
+            //
+            // Retries are incremental. A `NotEligible` verdict reads only
+            // queue `a`'s own entries plus `may_displace`, and a `false`
+            // from `may_displace` means an older, non-speculative task — a
+            // task never becomes speculative again (`gate_done` only
+            // grows). So a queue not touched since a pass in which every
+            // attempt came back `NotEligible` would refuse again and is
+            // skipped. `RejectedCycle` depends on the whole wait-for graph
+            // and is never memoised: any such pass resets the stamp.
             let home = ShardId(self.partition.region_of(path[0]));
             let mut preempted = false;
+            let mut all_not_eligible = true;
             let mut spec = std::mem::take(&mut self.scratch.spec_tasks);
             for &a in &path {
                 if self.ledger.queue(a).top().is_some_and(|e| e.task == id) {
+                    continue;
+                }
+                let unchanged = self.ledger.touched_at(a) <= preempt_checked_at;
+                if unchanged && !cfg!(debug_assertions) {
                     continue;
                 }
                 // A preparation may yield when its task is younger than the
@@ -1766,25 +1796,49 @@ impl RtEngine<'_> {
                         spec.push(e.task);
                     }
                 }
+                let may_displace = |e: &QueueEntry| e.task > id || spec.contains(&e.task);
+                if unchanged {
+                    // Debug builds shadow-check every skipped retry.
+                    debug_assert!(
+                        !self.ledger.preempt_eligible(id, a, may_displace),
+                        "skipped a preemption retry that had become eligible"
+                    );
+                    continue;
+                }
                 let host = ShardId(self.partition.region_of(a));
-                let outcome = self.ledger.try_preempt_across(id, a, home, host, |e| {
-                    e.task > id || spec.contains(&e.task)
-                });
-                if let Preemption::Applied {
-                    displaced_top,
-                    class_won,
-                } = outcome
+                match self
+                    .ledger
+                    .try_preempt_across(id, a, home, host, may_displace)
                 {
-                    debug_assert!(self.ledger.is_acyclic(), "preemption broke acyclicity");
-                    self.cancel_displaced_prep(a, displaced_top);
-                    if class_won {
-                        self.displaced_by_class.insert(displaced_top.0 as usize);
+                    Preemption::Applied {
+                        displaced_top,
+                        class_won,
+                    } => {
+                        debug_assert!(self.ledger.is_acyclic(), "preemption broke acyclicity");
+                        self.cancel_displaced_prep(a, displaced_top);
+                        if class_won {
+                            self.displaced_by_class.insert(displaced_top.0 as usize);
+                        }
+                        preempted = true;
+                        all_not_eligible = false;
                     }
-                    preempted = true;
+                    Preemption::RejectedCycle => all_not_eligible = false,
+                    Preemption::NotEligible => {}
                 }
             }
             spec.clear();
             self.scratch.spec_tasks = spec;
+            let checked_at = if all_not_eligible {
+                self.ledger.epoch()
+            } else {
+                0
+            };
+            if let TaskBody::Cnot {
+                preempt_checked_at, ..
+            } = &mut self.tasks[id.index()].body
+            {
+                *preempt_checked_at = checked_at;
+            }
             if preempted {
                 all_ready = self.cnot_path_ready(id, &path);
             }

@@ -25,10 +25,8 @@
 //!   buffer with matching ancillas **in ascending index order** regardless
 //!   of which worker scanned which region, `scan_words_into` does the same
 //!   restricted to the set bits of packed `u64` occupancy words (the §4.2
-//!   word-parallel scan), and `fill_u64_into`/`fill_u64_sparse_into`
-//!   compute per-ancilla vectors (the expected-free estimates) the same
-//!   way. All of them fill caller-provided buffers — the hot loop never
-//!   allocates.
+//!   word-parallel scan). Both fill caller-provided buffers — the hot loop
+//!   never allocates.
 //!
 //! # The determinism contract
 //!
@@ -484,18 +482,6 @@ impl ProposalRing {
     }
 }
 
-/// Per-region scratch a fill pass writes into. Each region buffer is
-/// written by exactly the one executor that claimed the region for the
-/// current job, which is what makes the unsynchronised access sound.
-struct SliceWriter {
-    ptr: *mut u64,
-}
-
-// SAFETY: see the write sites — executors write disjoint index ranges, and
-// the pool barrier orders the writes before the coordinator's reads.
-unsafe impl Sync for SliceWriter {}
-unsafe impl Send for SliceWriter {}
-
 /// The engine-facing executor: serial inline scans for `engine_threads = 1`
 /// (zero overhead, the historical engine), a [`ShardPool`] plus
 /// [`ProposalRing`] otherwise. Both paths produce identical output by
@@ -606,83 +592,6 @@ impl ShardExecutor {
             }
         }
     }
-
-    /// Computes `f(a)` for every ancilla `a` into `out` (cleared and
-    /// resized first), fanning regions out over the executors. Equivalent
-    /// to `(0..n).map(f).collect()` for any executor variant.
-    ///
-    /// The engine hot path uses the sparse variant; this dense form is the
-    /// reference implementation the tests check it against.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn fill_u64_into(
-        &self,
-        partition: &RegionPartition,
-        f: &(dyn Fn(u32) -> u64 + Sync),
-        out: &mut Vec<u64>,
-    ) {
-        let n = partition.num_ancillas();
-        match self {
-            ShardExecutor::Serial => {
-                out.clear();
-                out.extend((0..n as u32).map(f));
-            }
-            ShardExecutor::Pooled { pool, .. } => {
-                out.clear();
-                out.resize(n, 0);
-                let slots = SliceWriter {
-                    ptr: out.as_mut_ptr(),
-                };
-                let slots_ref = &slots;
-                pool.run(partition.num_regions(), &|r| {
-                    for a in partition.range(r) {
-                        // SAFETY: regions are disjoint index ranges within
-                        // `0..n` and each region is written by exactly one
-                        // executor before the barrier; the coordinator
-                        // reads `out` only after `run` returns.
-                        unsafe { slots_ref.ptr.add(a as usize).write(f(a)) };
-                    }
-                });
-            }
-        }
-    }
-
-    /// Sparse [`Self::fill_u64_into`]: `out` is filled with `default` and
-    /// `f(a)` is evaluated only for the set bits of `words`. Callers whose
-    /// `f` degenerates to `default` on clear ancillas (e.g. the
-    /// expected-free estimate of an *empty* queue) get the full dense
-    /// vector at the cost of only the occupied entries.
-    pub(crate) fn fill_u64_sparse_into(
-        &self,
-        partition: &RegionPartition,
-        words: &[u64],
-        default: u64,
-        f: &(dyn Fn(u32) -> u64 + Sync),
-        out: &mut Vec<u64>,
-    ) {
-        let n = partition.num_ancillas();
-        out.clear();
-        out.resize(n, default);
-        match self {
-            ShardExecutor::Serial => {
-                for_each_set_bit_in_range(words, 0..n as u32, |a| {
-                    out[a as usize] = f(a);
-                });
-            }
-            ShardExecutor::Pooled { pool, .. } => {
-                let slots = SliceWriter {
-                    ptr: out.as_mut_ptr(),
-                };
-                let slots_ref = &slots;
-                pool.run(partition.num_regions(), &|r| {
-                    for_each_set_bit_in_range(words, partition.range(r), |a| {
-                        // SAFETY: as in `fill_u64_into` — disjoint regions,
-                        // one executor each, reads only after the barrier.
-                        unsafe { slots_ref.ptr.add(a as usize).write(f(a)) };
-                    });
-                });
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -771,47 +680,6 @@ mod tests {
             let exec = ShardExecutor::new(threads, n);
             let mut got = Vec::new();
             exec.scan_words_into(&partition, &words, &pred, &mut got);
-            assert_eq!(got, expect, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn fill_matches_serial_for_any_executor() {
-        let partition = RegionPartition::for_fabric(97);
-        let f = |a: u32| (a as u64) * 31 + 7;
-        let mut serial = Vec::new();
-        ShardExecutor::Serial.fill_u64_into(&partition, &f, &mut serial);
-        assert_eq!(serial.len(), 97);
-        for threads in [2usize, 5] {
-            let exec = ShardExecutor::new(threads, 97);
-            let mut got = Vec::new();
-            exec.fill_u64_into(&partition, &f, &mut got);
-            assert_eq!(got, serial, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn sparse_fill_matches_dense_semantics() {
-        let n = 97usize;
-        let partition = RegionPartition::for_fabric(n);
-        let mut words = vec![0u64; n.div_ceil(64)];
-        for a in (0..n as u32).filter(|a| a % 4 == 2) {
-            words[(a / 64) as usize] |= 1 << (a % 64);
-        }
-        let f = |a: u32| 1000 + a as u64;
-        let expect: Vec<u64> = (0..n as u32)
-            .map(|a| {
-                if words[(a / 64) as usize] & (1 << (a % 64)) != 0 {
-                    f(a)
-                } else {
-                    42
-                }
-            })
-            .collect();
-        for threads in [1usize, 3] {
-            let exec = ShardExecutor::new(threads, n);
-            let mut got = Vec::new();
-            exec.fill_u64_sparse_into(&partition, &words, 42, &f, &mut got);
             assert_eq!(got, expect, "threads={threads}");
         }
     }

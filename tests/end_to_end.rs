@@ -42,6 +42,71 @@ fn uncompressed_benchmark_run_matches_pre_ledger_golden() {
     assert_eq!(report.total_rounds, 2391);
 }
 
+/// A constrained-fabric golden: `(workload, compression, seed)` and the
+/// pinned `(total_rounds, preemptions, preemptions_rejected_cycle,
+/// cnot_replans, path-cache lookups)` of its RESCQ run.
+type ConstrainedGolden = (&'static str, f64, u64, [u64; 5]);
+
+/// Runs each golden case and compares the schedule and the start-phase
+/// decision counters. The counters pin how often the engine preempted,
+/// was refused by the cycle check, re-planned and consulted the path
+/// cache — any change to the start phase that skips work must leave all
+/// of them (and the makespan) exactly where they were.
+fn assert_constrained_goldens(cases: &[ConstrainedGolden]) {
+    for &(name, compression, seed, want) in cases {
+        let circuit = rescq_repro::workloads::generate(name, 1).unwrap();
+        let config = SimConfig::builder()
+            .compression(compression)
+            .seed(seed)
+            .build();
+        let r = simulate(&circuit, &config).unwrap();
+        let c = &r.counters;
+        let got = [
+            r.total_rounds,
+            c.preemptions,
+            c.preemptions_rejected_cycle,
+            c.cnot_replans,
+            c.path_cache_hits + c.path_cache_misses,
+        ];
+        assert_eq!(
+            got, want,
+            "{name}@{compression} seed {seed}: [rounds, preemptions, rejected, replans, lookups]"
+        );
+    }
+}
+
+#[test]
+fn constrained_fabric_runs_match_pre_incremental_golden() {
+    // Compressed fabrics are where the start phase preempts, is refused by
+    // the cycle check and re-plans stalled routes. Goldens recorded before
+    // the start phase became incremental (touch-epoch-gated preemption
+    // retries, on-demand route-cost estimates).
+    assert_constrained_goldens(&[
+        ("qft_n18", 0.5, 1, [4939, 1, 0, 15, 3589]),
+        ("qft_n18", 0.5, 2, [4868, 0, 44, 11, 3294]),
+        ("qft_n18", 0.5, 3, [5247, 0, 0, 12, 3906]),
+        ("gcm_n13", 0.75, 1, [23098, 0, 0, 5, 4634]),
+        ("gcm_n13", 0.75, 2, [23418, 1, 0, 11, 4826]),
+        ("gcm_n13", 0.75, 3, [23127, 1, 0, 13, 4712]),
+    ]);
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "minutes in a debug build; runs in the release constrained-fabric gate"
+)]
+fn constrained_ising_n420_matches_pre_incremental_golden() {
+    // The benchmark's constrained workload (ising_n420 at 50% compression):
+    // thousands of preemption attempts, hundreds to over a thousand of them
+    // cycle-rejected, per run.
+    assert_constrained_goldens(&[
+        ("ising_n420", 0.5, 1, [2824, 8, 1218, 96, 97_748]),
+        ("ising_n420", 0.5, 2, [3291, 10, 400, 86, 112_746]),
+        ("ising_n420", 0.5, 3, [2628, 9, 16, 82, 90_579]),
+    ]);
+}
+
 #[test]
 fn sharded_engine_matches_the_golden_on_every_thread_count() {
     // The sharded-engine determinism contract pinned on a paper workload:
