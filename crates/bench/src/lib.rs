@@ -5,6 +5,7 @@
 //! `DESIGN.md` §3 for the experiment index); this library provides the common
 //! formatting and sizing utilities they share.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;

@@ -20,6 +20,7 @@
 //! assert_eq!(dag.layers().len(), 3);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

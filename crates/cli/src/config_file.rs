@@ -13,7 +13,6 @@
 //! compression = 0.0
 //! seeds = 10
 //! base_seed = 1
-//! engine_threads = 4       # realtime-engine shards; 0 = auto, schedule unchanged
 //! priority_classes = factory>injection>compute>speculative  # or `off` (default)
 //! decoder = adaptive       # ideal | fixed | adaptive | union_find
 //! decoder_throughput = 0.5 # syndrome rounds decoded per round
@@ -74,7 +73,8 @@ fn err(line: usize, message: impl Into<String>) -> ConfigError {
 }
 
 /// Parses the config text into a [`RunSpec`]. Unknown keys are errors so
-/// typos surface immediately.
+/// typos surface immediately. The retired `engine_threads` key is still
+/// accepted and ignored, with a warning on stderr.
 pub fn parse_config(text: &str) -> Result<RunSpec, ConfigError> {
     let mut spec = RunSpec::default();
     for (idx, raw) in text.lines().enumerate() {
@@ -120,9 +120,10 @@ pub fn parse_config(text: &str) -> Result<RunSpec, ConfigError> {
             "seeds" | "number_of_runs" => spec.seeds = parse_u64(value)?.max(1),
             "base_seed" | "seed" => spec.base_seed = parse_u64(value)?,
             "max_cycles" => spec.config.max_cycles = parse_u64(value)?,
-            "engine_threads" => {
-                spec.config.engine_threads = parse_u64(value)? as usize;
-            }
+            "engine_threads" => eprintln!(
+                "warning: config line {lineno}: `engine_threads` is ignored: the engine is \
+                 single-threaded, and as a sweep axis it no longer multiplies jobs"
+            ),
             "priority_classes" => {
                 spec.config.priority_classes =
                     ClassLattice::parse_setting(value).map_err(|e| err(lineno, e))?;
@@ -175,12 +176,6 @@ pub fn write_config(spec: &RunSpec) -> String {
     );
     if let Some(cols) = spec.config.block_columns {
         out.push_str(&format!("block_columns = {cols}\n"));
-    }
-    if spec.config.engine_threads != 1 {
-        out.push_str(&format!(
-            "engine_threads = {}\n",
-            spec.config.engine_threads
-        ));
     }
     if let Some(lattice) = &spec.config.priority_classes {
         out.push_str(&format!("priority_classes = {lattice}\n"));
@@ -282,21 +277,16 @@ base_seed = 7
     }
 
     #[test]
-    fn engine_threads_key_parses_and_round_trips() {
-        let spec = parse_config("engine_threads = 4\n").unwrap();
-        assert_eq!(spec.config.engine_threads, 4);
-        let text = write_config(&spec);
-        assert!(text.contains("engine_threads = 4"));
-        assert_eq!(parse_config(&text).unwrap(), spec);
-        // 0 = auto-detect; the default (1) stays out of written configs.
-        assert_eq!(
-            parse_config("engine_threads = 0\n")
-                .unwrap()
-                .config
-                .engine_threads,
-            0
-        );
-        assert!(!write_config(&RunSpec::default()).contains("engine_threads"));
+    fn retired_engine_threads_key_is_ignored() {
+        // Configs written before the engine became single-threaded still
+        // parse, to the same spec as without the key.
+        let base = "benchmark = ising_n34\nseeds = 2\n";
+        let without = parse_config(base).unwrap();
+        for value in ["1", "4", "0"] {
+            let with = parse_config(&format!("{base}engine_threads = {value}\n")).unwrap();
+            assert_eq!(with, without, "engine_threads = {value}");
+        }
+        assert!(!write_config(&without).contains("engine_threads"));
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! artifact's workflow: a config file (or a Table 3 benchmark name) in, a
 //! summary plus optional CSV out, with subcommands regenerating each figure.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config_file;

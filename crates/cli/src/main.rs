@@ -12,6 +12,8 @@
 //! sim table3                                regenerate Table 3
 //! ```
 
+#![forbid(unsafe_code)]
+
 use rescq_bench::experiments::{self, ExperimentScale};
 use rescq_cli::{output, parse_config, RunSpec};
 use rescq_core::SchedulerKind;
@@ -49,7 +51,7 @@ fn print_usage() {
     println!("sim — RESCQ scheduling simulator (paper reproduction)");
     println!();
     println!("Usage:");
-    println!("  sim run <config-file> [--csv DIR] [--engine-threads N]");
+    println!("  sim run <config-file> [--csv DIR]");
     println!("            [--priority-classes SPEC]   class lattice, e.g.");
     println!("                                   factory>injection>compute>speculative | off");
     println!("            [--trace-out FILE]     write a Chrome trace-event JSON of one");
@@ -73,8 +75,6 @@ fn print_usage() {
     println!("  sim bench <name> [--seeds N] [--compression F] [--distance D] [--csv DIR]");
     println!("            [--decoder ideal|fixed|adaptive|union_find] [--decoder-throughput F]");
     println!("            [--decoder-workers N] [--decoder-prep]");
-    println!("            [--engine-threads N]   realtime-engine shards (0 = auto;");
-    println!("                                   schedule is bit-identical for any N)");
     println!("            [--priority-classes SPEC]  class-aware ledger arbitration");
     println!("  sim bench --baseline FILE [--seeds N]   record a perf baseline (BENCH_*.json)");
     println!("            of the standard suite (ising_n420 + factory_n12 @ 25%); with a");
@@ -84,6 +84,24 @@ fn print_usage() {
     println!("  sim list                            list Table 3 benchmarks");
     println!("  sim table3                          regenerate Table 3");
     println!("  sim fig <3|5|10|11|12|13|14|15|16|a2|decoder> [--full]");
+}
+
+/// Errors on any `--flag` in `args` that is not in `known`, so a typo or a
+/// stale flag fails loudly instead of being silently ignored.
+fn reject_unknown_flags(args: &[String], known: &[&str]) -> Result<(), String> {
+    for a in args {
+        if !a.starts_with("--") || known.contains(&a.as_str()) {
+            continue;
+        }
+        return Err(if a == "--engine-threads" {
+            "`--engine-threads` was removed: the engine is single-threaded \
+             (seeds and sweep jobs still run in parallel)"
+                .into()
+        } else {
+            format!("unknown flag `{a}`; try `sim help`")
+        });
+    }
+    Ok(())
 }
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
@@ -157,20 +175,27 @@ fn apply_priority_flag(args: &[String], config: &mut rescq_sim::SimConfig) -> Re
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags(
+        args,
+        &[
+            "--csv",
+            "--priority-classes",
+            "--trace-out",
+            "--metrics-out",
+        ],
+    )?;
     let path = args.first().filter(|a| !a.starts_with("--")).ok_or(
-        "usage: sim run <config-file> [--csv DIR] [--engine-threads N] [--trace-out FILE]",
+        "usage: sim run <config-file> [--csv DIR] [--priority-classes SPEC] \
+         [--trace-out FILE] [--metrics-out FILE]",
     )?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let mut spec = parse_config(&text).map_err(|e| e.to_string())?;
-    if let Some(t) = flag_value(args, "--engine-threads") {
-        spec.config.engine_threads = t.parse().map_err(|_| "bad --engine-threads")?;
-    }
     apply_priority_flag(args, &mut spec.config)?;
     let summary = run_spec(&spec, flag_value(args, "--csv").map(PathBuf::from))?;
     if let Some(out) = flag_value(args, "--metrics-out") {
         // The base seed's report, as a versioned snapshot. Every metric in
         // it is schedule-derived, so the file is identical whether or not
-        // the run was traced, at any engine thread count.
+        // the run was traced.
         let report = summary
             .reports
             .first()
@@ -197,6 +222,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 fn cmd_analyze(args: &[String]) -> Result<(), String> {
     use rescq_telemetry::{analyze_events, parse_trace, RingRecorder};
     const USAGE: &str = "usage: sim analyze <trace.json|run-config> [--json FILE] [--top K]";
+    reject_unknown_flags(args, &["--json", "--top", "--priority-classes"])?;
     let path = args.first().filter(|a| !a.starts_with("--")).ok_or(USAGE)?;
     let top_k: usize = match flag_value(args, "--top") {
         Some(k) => k.parse().map_err(|_| "bad --top")?,
@@ -208,9 +234,6 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         analyze_events(&parsed.events, parsed.dropped, parsed.truncated)
     } else {
         let mut spec = parse_config(&text).map_err(|e| e.to_string())?;
-        if let Some(t) = flag_value(args, "--engine-threads") {
-            spec.config.engine_threads = t.parse().map_err(|_| "bad --engine-threads")?;
-        }
         apply_priority_flag(args, &mut spec.config)?;
         let circuit = load_circuit(&spec.benchmark)?;
         let mut config = spec.config.clone();
@@ -273,6 +296,19 @@ fn write_trace(spec: &RunSpec, out: &std::path::Path) -> Result<(), String> {
 
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
     use rescq_harness::{run_sweep, ProgressMode, RunOptions, Shard, SweepSpec};
+    reject_unknown_flags(
+        args,
+        &[
+            "--threads",
+            "--csv",
+            "--json",
+            "--checkpoint",
+            "--shard",
+            "--layout-cache",
+            "--quiet",
+            "--progress",
+        ],
+    )?;
     let path = args.first().filter(|a| !a.starts_with("--")).ok_or(
         "usage: sim sweep <spec.toml> [--threads N] [--csv FILE] [--json FILE] \
          [--checkpoint FILE] [--shard i/n] [--layout-cache DIR] [--quiet | --progress]",
@@ -439,6 +475,24 @@ fn cmd_merge_checkpoints(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_bench(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags(
+        args,
+        &[
+            "--seeds",
+            "--compression",
+            "--distance",
+            "--csv",
+            "--decoder",
+            "--decoder-throughput",
+            "--decoder-workers",
+            "--decoder-prep",
+            "--priority-classes",
+            "--baseline",
+            "--compare",
+            "--warn-pct",
+            "--fail-pct",
+        ],
+    )?;
     if args.iter().any(|a| a == "--compare") {
         return cmd_bench_compare(args);
     }
@@ -474,9 +528,6 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     }
     if args.iter().any(|a| a == "--decoder-prep") {
         spec.config.decoder.decode_prep = true;
-    }
-    if let Some(t) = flag_value(args, "--engine-threads") {
-        spec.config.engine_threads = t.parse().map_err(|_| "bad --engine-threads")?;
     }
     apply_priority_flag(args, &mut spec.config)?;
     let csv = flag_value(args, "--csv").map(PathBuf::from);
@@ -640,6 +691,7 @@ fn cmd_table3() -> Result<(), String> {
 }
 
 fn cmd_fig(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags(args, &["--full"])?;
     let which = args.first().ok_or("usage: sim fig <N> [--full]")?;
     let scale = if args.iter().any(|a| a == "--full") {
         ExperimentScale::full()

@@ -30,6 +30,7 @@
 //! assert_eq!(queue.len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -58,8 +58,8 @@
 //!    caller's stricter test allows), so FIFO runs are reorder-free.
 //! 3. **Determinism** — the ledger holds no clocks, no randomness and no
 //!    thread identity: the same op sequence yields the same queues, ids,
-//!    graph and counters, which is what lets a sharded engine commit
-//!    through it at a barrier and stay bit-identical for any thread count.
+//!    graph and counters, so a seeded engine driving it is bit-identical
+//!    run to run.
 
 use crate::queue::{AncillaQueue, EntryStatus, QueueEntry, Role};
 use crate::types::TaskId;
@@ -80,10 +80,10 @@ impl ReservationId {
     pub const UNREGISTERED: ReservationId = ReservationId(0);
 }
 
-/// Identifier of one scheduling shard: a contiguous region of the ancilla
-/// network served by one scheduling worker (the partition itself lives with
-/// the engine; the ledger only tags claims and preemptions with the shards
-/// involved so cross-shard arbitration is observable).
+/// Identifier of one fabric region: a contiguous range of the ancilla
+/// network (the partition itself lives with the engine; the ledger only
+/// tags claims and preemptions with the regions involved so arbitration
+/// across region boundaries is observable).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ShardId(pub u32);
 
@@ -753,7 +753,7 @@ impl ReservationLedger {
     /// shard of the claiming task, `host` the shard hosting ancilla `a`.
     /// The claim itself is identical to a plain push — arbitration is by
     /// queue seniority and the wait-for graph, never by shard — but
-    /// cross-shard claims are counted so a sharded engine can observe how
+    /// cross-shard claims are counted so the engine can observe how
     /// often work crosses region boundaries (e.g. a CNOT route leaving its
     /// home region).
     pub fn push_claim(
@@ -846,8 +846,8 @@ impl ReservationLedger {
     /// Cross-shard preemptions go through exactly the same ledger-level
     /// arbitration — the structural eligibility check and the incremental
     /// acyclicity proof are shard-agnostic, which is what makes them safe
-    /// regardless of which scheduling worker proposed the reorder — but
-    /// applied reorders that crossed a shard boundary are counted in
+    /// whatever regions the path spans — but applied reorders that crossed
+    /// a shard boundary are counted in
     /// [`LedgerStats::preemptions_cross_shard`].
     pub fn try_preempt_across(
         &mut self,
@@ -1192,11 +1192,10 @@ impl ReservationLedger {
     }
 }
 
-// Send/Sync audit: a sharded engine hands read-only views of the ledger and
-// its queues to scheduling workers on other threads, so every type on that
-// path must be `Send + Sync`. Asserted at compile time — a field change that
-// introduces interior mutability or a thread-bound type fails the build
-// here, not in a data race.
+// Send/Sync audit: the ledger and its queues hold no interior mutability
+// and no thread-bound state, so whole simulations can run on the seed and
+// sweep worker threads. Asserted at compile time — a field change that
+// introduces either fails the build here, not in a data race.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<ReservationLedger>();

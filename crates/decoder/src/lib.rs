@@ -60,6 +60,7 @@
 //! assert_eq!(ready, 100, "the ideal decoder is invisible");
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -49,9 +49,8 @@ pub struct DecoderRuntime {
     decode_prep: bool,
 }
 
-// The sharded realtime engine hands `&DecoderRuntime` (inside its frozen
-// state view) to scheduling workers on other threads; the model box is
-// `Send + Sync` precisely so that view is shareable.
+// The model box is `Send + Sync` so a runtime carries no thread-bound state
+// and whole simulations can run on the seed and sweep worker threads.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<DecoderRuntime>();

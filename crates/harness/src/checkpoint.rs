@@ -25,11 +25,8 @@ const HEADER: &str = "# rescq-harness checkpoint v1";
 /// deterministic).
 pub fn job_fingerprint(job: &JobSpec, circuit_hash: u64, circuit_seed: u64) -> u64 {
     let c = &job.config;
-    // `engine_threads` is part of the fingerprint even though schedules are
-    // thread-count invariant: the checkpoint stores the raw CSV row, whose
-    // engine_threads grid column must echo the job that wrote it.
     let canonical = format!(
-        "w={}|ch={circuit_hash}|cs={circuit_seed}|s={}|d={}|p={}|k={:?}|aw={}|layout={:?}|bc={:?}|comp={}|compseed={}|dec={:?}|seed={}|mc={}|tau={:?}|costs={:?}|cal={:?}|et={}|prio={}",
+        "w={}|ch={circuit_hash}|cs={circuit_seed}|s={}|d={}|p={}|k={:?}|aw={}|layout={:?}|bc={:?}|comp={}|compseed={}|dec={:?}|seed={}|mc={}|tau={:?}|costs={:?}|cal={:?}|prio={}",
         job.workload,
         c.scheduler,
         c.distance,
@@ -46,7 +43,6 @@ pub fn job_fingerprint(job: &JobSpec, circuit_hash: u64, circuit_seed: u64) -> u
         c.tau_model,
         c.costs,
         c.calibration,
-        c.engine_threads,
         crate::spec::fmt_priority(&c.priority_classes),
     );
     rescq_circuit::fnv1a_64(canonical.bytes())
@@ -352,6 +348,31 @@ mod tests {
         assert_eq!(ckpt.loaded(), 1, "only the current-width row restores");
         assert_eq!(ckpt.lookup(fp_new), Some(&metrics));
         assert_eq!(ckpt.lookup(fp_old), None, "old-schema row must re-run");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn rows_with_the_engine_threads_column_restore_nothing() {
+        // Two rows as written before the `engine_threads` column was
+        // dropped: 33 columns under the old fingerprint (which hashed
+        // `et=1`). They load without error and restore nothing, so those
+        // jobs re-run; restoring them would misparse the shifted columns.
+        let dir = std::env::temp_dir().join("rescq_harness_ckpt_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("engine_threads_column.ckpt");
+        std::fs::write(
+            &path,
+            format!(
+                "{HEADER}\n\
+                 5347befa48cbc78c decoder_stress_n4,rescq,7,0.0001,25,0,ideal,1,off,1,104.42857142857143,0.5666894664842681,0,94,1,94,46,287,149,0,0,28,0,118,0,3,0,2,5,0,0,0,0\n\
+                 059adc99bcd6557d decoder_stress_n4,rescq,7,0.0001,25,0,ideal,1,off,2,130.71428571428572,0.5868852459016394,0,114,1,114,66,328,150,0,0,28,0,183,0,18,0,2,14,0,0,0,0\n"
+            ),
+        )
+        .unwrap();
+        let ckpt = Checkpoint::open(&path).unwrap();
+        assert_eq!(ckpt.loaded(), 0);
+        assert_eq!(ckpt.lookup(0x5347befa48cbc78c), None);
+        assert_eq!(read_checkpoint_rows(&path).unwrap().len(), 0);
         let _ = std::fs::remove_file(&path);
     }
 

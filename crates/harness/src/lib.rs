@@ -45,6 +45,7 @@
 //! println!("{}", results.to_csv());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -108,15 +108,14 @@ pub struct JobRecord {
     pub resumed: bool,
 }
 
-/// The CSV column header of per-job rows. `engine_threads` and `priority`
-/// sit with the grid columns (they are spec axes, not results — the
-/// schedule is bit-identical along `engine_threads`, and `priority` names
-/// the arbitration policy a point ran under). The union-find decode-work
-/// counters are the last metric columns, per the strip-last-column
-/// convention for newly added counters; they are sim-time derived, so the
-/// rows stay byte-identical whether or not a run was traced.
+/// The CSV column header of per-job rows. `priority` sits with the grid
+/// columns (it is a spec axis, not a result: it names the arbitration
+/// policy a point ran under). The union-find decode-work counters are the
+/// last metric columns, per the strip-last-column convention for newly
+/// added counters; they are sim-time derived, so the rows stay
+/// byte-identical whether or not a run was traced.
 pub const CSV_HEADER: &str = "workload,scheduler,distance,error_rate,k,compression,decoder,\
-engine_threads,priority,seed,\
+priority,seed,\
 total_cycles,idle_fraction,stall_cycles,decode_windows,peak_backlog,injections,\
 injection_failures,preps_started,preps_cancelled,preemptions,preemptions_rejected,\
 waitgraph_peak_edges,preemptions_class,stall_ancilla,stall_decoder,stall_route,stall_class,\
@@ -125,7 +124,7 @@ cnot_p50,cnot_p99,decode_p99,decode_defects,decode_growth_steps,decode_failures"
 /// Formats one job + metrics as a CSV row (no trailing newline).
 pub fn csv_row(job: &JobSpec, m: &JobMetrics) -> String {
     format!(
-        "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+        "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
         job.workload,
         job.config.scheduler,
         job.config.distance,
@@ -133,7 +132,6 @@ pub fn csv_row(job: &JobSpec, m: &JobMetrics) -> String {
         fmt_k(job.config.k_policy),
         job.config.compression,
         job.decoder,
-        job.config.engine_threads,
         fmt_priority(&job.config.priority_classes),
         m.seed,
         m.total_cycles,
@@ -167,11 +165,11 @@ pub fn csv_row(job: &JobSpec, m: &JobMetrics) -> String {
 /// fingerprint, not re-parsed).
 pub fn parse_csv_metrics(row: &str) -> Result<JobMetrics, String> {
     let cols: Vec<&str> = row.split(',').collect();
-    // 33 columns since the union-find decode-work counters; older
-    // 20/21/23/27/30-column checkpoint rows fail here and are skipped
+    // 32 columns since the `engine_threads` column was dropped; older
+    // 20/21/23/27/30/33-column checkpoint rows fail here and are skipped
     // gracefully by the checkpoint loader (the jobs simply re-run).
-    if cols.len() != 33 {
-        return Err(format!("expected 33 columns, got {}", cols.len()));
+    if cols.len() != 32 {
+        return Err(format!("expected 32 columns, got {}", cols.len()));
     }
     let f = |i: usize| -> Result<f64, String> {
         cols[i]
@@ -184,30 +182,30 @@ pub fn parse_csv_metrics(row: &str) -> Result<JobMetrics, String> {
             .map_err(|_| format!("bad integer `{}` in column {i}", cols[i]))
     };
     Ok(JobMetrics {
-        seed: u(9)?,
-        total_cycles: f(10)?,
-        idle_fraction: f(11)?,
-        stall_cycles: f(12)?,
-        decode_windows: u(13)?,
-        peak_backlog: u(14)?,
-        injections: u(15)?,
-        injection_failures: u(16)?,
-        preps_started: u(17)?,
-        preps_cancelled: u(18)?,
-        preemptions: u(19)?,
-        preemptions_rejected: u(20)?,
-        waitgraph_peak_edges: u(21)?,
-        preemptions_class: u(22)?,
-        stall_ancilla: u(23)?,
-        stall_decoder: u(24)?,
-        stall_route: u(25)?,
-        stall_class: u(26)?,
-        cnot_p50: u(27)?,
-        cnot_p99: u(28)?,
-        decode_p99: u(29)?,
-        decode_defects: u(30)?,
-        decode_growth_steps: u(31)?,
-        decode_failures: u(32)?,
+        seed: u(8)?,
+        total_cycles: f(9)?,
+        idle_fraction: f(10)?,
+        stall_cycles: f(11)?,
+        decode_windows: u(12)?,
+        peak_backlog: u(13)?,
+        injections: u(14)?,
+        injection_failures: u(15)?,
+        preps_started: u(16)?,
+        preps_cancelled: u(17)?,
+        preemptions: u(18)?,
+        preemptions_rejected: u(19)?,
+        waitgraph_peak_edges: u(20)?,
+        preemptions_class: u(21)?,
+        stall_ancilla: u(22)?,
+        stall_decoder: u(23)?,
+        stall_route: u(24)?,
+        stall_class: u(25)?,
+        cnot_p50: u(26)?,
+        cnot_p99: u(27)?,
+        decode_p99: u(28)?,
+        decode_defects: u(29)?,
+        decode_growth_steps: u(30)?,
+        decode_failures: u(31)?,
     })
 }
 
@@ -412,7 +410,7 @@ impl SweepResults {
         for (i, s) in summaries.iter().enumerate() {
             let _ = write!(
                 out,
-                "    {{\"workload\": \"{}\", \"scheduler\": \"{}\", \"distance\": {}, \"error_rate\": {}, \"k\": \"{}\", \"compression\": {}, \"decoder\": \"{}\", \"engine_threads\": {}, \"priority\": \"{}\", \"completed\": {}, \"mean_cycles\": {}, \"p50_cycles\": {}, \"p99_cycles\": {}, \"min_cycles\": {}, \"max_cycles\": {}, \"mean_stall_cycles\": {}, \"stall_fraction\": {}, \"peak_backlog\": {}, \"preemptions\": {}, \"preemptions_rejected\": {}, \"preemptions_class\": {}, \"waitgraph_peak_edges\": {}, \"stall_ancilla\": {}, \"stall_decoder\": {}, \"stall_route\": {}, \"stall_class\": {}, \"cnot_p50\": {}, \"cnot_p99\": {}, \"decode_p99\": {}, \"decode_defects\": {}, \"decode_growth_steps\": {}, \"decode_failures\": {}}}",
+                "    {{\"workload\": \"{}\", \"scheduler\": \"{}\", \"distance\": {}, \"error_rate\": {}, \"k\": \"{}\", \"compression\": {}, \"decoder\": \"{}\", \"priority\": \"{}\", \"completed\": {}, \"mean_cycles\": {}, \"p50_cycles\": {}, \"p99_cycles\": {}, \"min_cycles\": {}, \"max_cycles\": {}, \"mean_stall_cycles\": {}, \"stall_fraction\": {}, \"peak_backlog\": {}, \"preemptions\": {}, \"preemptions_rejected\": {}, \"preemptions_class\": {}, \"waitgraph_peak_edges\": {}, \"stall_ancilla\": {}, \"stall_decoder\": {}, \"stall_route\": {}, \"stall_class\": {}, \"cnot_p50\": {}, \"cnot_p99\": {}, \"decode_p99\": {}, \"decode_defects\": {}, \"decode_growth_steps\": {}, \"decode_failures\": {}}}",
                 json_escape(&s.job.workload),
                 s.job.config.scheduler,
                 s.job.config.distance,
@@ -420,7 +418,6 @@ impl SweepResults {
                 fmt_k(s.job.config.k_policy),
                 s.job.config.compression,
                 s.job.decoder,
-                s.job.config.engine_threads,
                 fmt_priority(&s.job.config.priority_classes),
                 s.completed,
                 s.mean_cycles,

@@ -21,6 +21,7 @@
 //! assert_eq!(mst.tree_size(), graph.len() - 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

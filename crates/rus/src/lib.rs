@@ -20,6 +20,7 @@
 //! assert!(model.expected_cycles() < 2.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -63,14 +63,6 @@ pub struct SimConfig {
     pub decoder: DecoderConfig,
     /// Watchdog: abort if the program exceeds this many cycles.
     pub max_cycles: u64,
-    /// Scheduling worker threads inside one realtime engine run (`0` =
-    /// available parallelism). The fabric's ancilla network is partitioned
-    /// into contiguous regions scanned by the workers; proposals commit
-    /// through the reservation ledger in canonical order at a deterministic
-    /// barrier, so the produced schedule is **bit-identical for any thread
-    /// count** — this setting trades wall-clock only. The static baseline
-    /// engines are layer-synchronous and always run single-threaded.
-    pub engine_threads: usize,
     /// Priority-class lattice for ledger arbitration (`None` = class-blind,
     /// the default — bit-identical to the pre-lattice engine). With a
     /// lattice, the realtime engine classes its tasks (by default T-factory
@@ -92,18 +84,6 @@ impl SimConfig {
     /// The substrate parameters implied by this configuration.
     pub fn rus_params(&self) -> RusParams {
         RusParams::new(self.distance, self.physical_error_rate)
-    }
-
-    /// The engine worker count this configuration resolves to: the
-    /// configured value, or available parallelism when `engine_threads` is
-    /// `0` (auto).
-    pub fn resolved_engine_threads(&self) -> usize {
-        if self.engine_threads > 0 {
-            return self.engine_threads;
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
     }
 
     /// Rounds of syndrome measurement per lattice-surgery cycle.
@@ -144,9 +124,6 @@ impl fmt::Display for SimConfig {
         if self.decoder.kind != DecoderKind::Ideal {
             write!(f, " decoder={}", self.decoder)?;
         }
-        if self.engine_threads != 1 {
-            write!(f, " engine_threads={}", self.engine_threads)?;
-        }
         if let Some(lattice) = &self.priority_classes {
             write!(f, " priority={lattice}")?;
         }
@@ -179,7 +156,6 @@ impl Default for SimConfigBuilder {
                 tau_model: TauModel::default(),
                 decoder: DecoderConfig::default(),
                 max_cycles: 50_000_000,
-                engine_threads: 1,
                 priority_classes: None,
             },
         }
@@ -277,14 +253,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Sets the engine worker-thread count (`0` = available parallelism).
-    /// Any value produces bit-identical schedules; see
-    /// [`SimConfig::engine_threads`].
-    pub fn engine_threads(mut self, t: usize) -> Self {
-        self.config.engine_threads = t;
-        self
-    }
-
     /// Enables class-aware ledger arbitration with the given priority
     /// lattice (`None` keeps the class-blind default).
     pub fn priority_classes(mut self, lattice: Option<ClassLattice>) -> Self {
@@ -337,19 +305,6 @@ mod tests {
         assert_eq!(c.scheduler, SchedulerKind::Autobraid);
         assert_eq!(c.seed, 99);
         assert_eq!(c.rounds_per_cycle(), 11);
-    }
-
-    #[test]
-    fn engine_threads_default_and_auto() {
-        let c = SimConfig::default();
-        assert_eq!(c.engine_threads, 1);
-        assert_eq!(c.resolved_engine_threads(), 1);
-        assert!(!c.to_string().contains("engine_threads"));
-        let c = SimConfig::builder().engine_threads(4).build();
-        assert_eq!(c.resolved_engine_threads(), 4);
-        assert!(c.to_string().contains("engine_threads=4"));
-        let auto = SimConfig::builder().engine_threads(0).build();
-        assert!(auto.resolved_engine_threads() >= 1);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! lattice-surgery cycle is `d` rounds (§5.2.1).
 
 mod realtime;
-mod shard;
+mod region;
 mod static_sched;
 
 use crate::artifacts::SimArtifacts;
@@ -148,7 +148,7 @@ pub(crate) fn run_with_artifacts_probed(
     artifacts: &SimArtifacts,
     config: &SimConfig,
     recorder: Option<&dyn Recorder>,
-    cycle_probe: Option<&(dyn Fn(u64) + Sync)>,
+    cycle_probe: Option<&dyn Fn(u64)>,
 ) -> Result<ExecutionReport, SimError> {
     let fabric = Fabric::new(
         artifacts.layout.clone(),
@@ -184,7 +184,7 @@ pub(crate) fn run_with_artifacts_probed(
 pub fn simulate_with_cycle_probe(
     circuit: &Circuit,
     config: &SimConfig,
-    probe: &(dyn Fn(u64) + Sync),
+    probe: &dyn Fn(u64),
 ) -> Result<ExecutionReport, SimError> {
     let artifacts = SimArtifacts::prepare(Arc::new(circuit.clone()), config)?;
     run_with_artifacts_probed(&artifacts, config, None, Some(probe))
@@ -219,8 +219,8 @@ pub fn simulate(circuit: &Circuit, config: &SimConfig) -> Result<ExecutionReport
 /// [`simulate`] with an optional structured-trace [`Recorder`] attached.
 ///
 /// The recorder only *observes*: the schedule — and every schedule-derived
-/// field of the report — is byte-identical with or without one, at any
-/// thread count (property-tested in `tests/telemetry.rs`). Tracing adds
+/// field of the report — is byte-identical with or without one
+/// (property-tested in `tests/telemetry.rs`). Tracing adds
 /// per-phase wall-clock to [`ExecutionReport::phase_nanos`] and streams
 /// cycle-scoped events (phases, ledger arbitration and wait edges,
 /// decoder windows, route plans, stalls, ancilla occupancy) into the

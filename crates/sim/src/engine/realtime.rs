@@ -1,37 +1,37 @@
-//! The RESCQ realtime engine (paper §4) — the coordinator of the sharded
-//! realtime architecture (worker machinery in [`crate::engine::shard`]).
+//! The RESCQ realtime engine (paper §4): one serial controller per run.
 //!
-//! # The cycle-phase protocol
+//! # The scheduling pass
 //!
-//! Sharding forced the engine's implicit ordering to become an explicit
-//! protocol shared by every scheduling worker. Event handling retires
-//! strictly in `(round, insertion-order)` sequence — inject outcomes,
-//! decode completions, preparation completions, surgeries — and each
-//! retirement triggers a *scheduling pass* with four phases:
+//! Event handling retires strictly in `(round, insertion-order)` sequence
+//! — inject outcomes, decode completions, preparation completions,
+//! surgeries — and each retirement triggers a *scheduling pass* with four
+//! phases:
 //!
 //! 1. **schedule** — the qubit worklist drains deepest-remaining-chain
 //!    first; new gate tasks enqueue their claims through the ledger;
 //! 2. **start** — live tasks attempt injections and surgeries; a stalled
-//!    CNOT may preempt younger speculative claims here, cross-shard
-//!    preemptions going through the ledger's arbitration
+//!    CNOT may preempt younger speculative claims here, preemptions that
+//!    cross fabric regions going through the ledger's arbitration
 //!    ([`rescq_core::ReservationLedger::try_preempt_across`]), which
-//!    preserves the acyclicity proof regardless of the shards involved.
+//!    preserves the acyclicity proof whatever regions are involved.
 //!    A blocked CNOT retries only on path queues touched since its last
 //!    all-`NotEligible` pass (the ledger's touch epochs), and route
 //!    re-plans read queue-cost estimates on demand;
-//! 3. **propose** — shard workers scan their regions of the *frozen*
-//!    engine state in parallel and propose candidate ancillas (reclaims,
-//!    preparation starts/restarts). Workers never mutate;
-//! 4. **commit** — the coordinator revalidates each proposal against
-//!    committed state and applies it through the ledger, in canonical
-//!    ascending-ancilla order. This is the deterministic barrier that
-//!    reconciles shard frontiers: commit order — and therefore the RNG
-//!    draw order, the event order and every counter — is independent of
-//!    the thread count, so the schedule is bit-identical for 1, 2 or N
-//!    engine threads (`engine_threads = 1` reproduces the historical
-//!    monolithic engine exactly; golden-pinned in `tests/engines.rs`).
+//! 3. **propose** — one pass over the scan frontier (dirty, non-empty
+//!    ancilla queues) evaluates the pure per-ancilla decision against the
+//!    pass-start state and collects candidate ancillas (reclaims,
+//!    preparation starts/restarts) in ascending order. Nothing mutates;
+//! 4. **commit** — each candidate is revalidated against committed state
+//!    and applied through the ledger, in ascending-ancilla order. Commits
+//!    can disable a pending candidate but never enable one (see
+//!    `RtEngine::dispatch_ancillas`), which is why the decision is split
+//!    from its application and why the result equals a mutate-as-you-scan
+//!    loop. Commit order fixes the RNG draw order, the event order and
+//!    every counter.
 //!
-//! The pass repeats until a fixpoint (no phase made progress).
+//! The pass repeats until a fixpoint (no phase made progress). The four
+//! phases are also the wall-clock taxonomy of traced runs
+//! ([`ExecutionReport::phase_nanos`]).
 //!
 //! Realtime behaviours implemented here, with their paper anchors:
 //!
@@ -52,7 +52,7 @@
 //! - when several gates become schedulable simultaneously, qubits with
 //!   larger remaining circuit depth go first (Fig 7 caption).
 
-use crate::engine::shard::{RegionPartition, ShardExecutor};
+use crate::engine::region::RegionPartition;
 use crate::engine::EventQueue;
 use crate::fabric::Fabric;
 use crate::metrics::{ExecutionReport, LatencyHistogram, RunCounters};
@@ -61,9 +61,9 @@ use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use rescq_circuit::{Angle, Circuit, DependencyDag, Gate, GateId, GateQubits, QubitId};
 use rescq_core::{
-    plan_cnot_route_into, ActivityTracker, Bitset, EntryStatus, LedgerEvent, MstPipeline,
-    PathCache, Preemption, QueueEntry, ReservationLedger, Role, RouteScratch, SchedulerKind,
-    ShardId, SurgeryCosts, TaskClass, TaskId, VecPool,
+    for_each_set_bit, plan_cnot_route_into, ActivityTracker, Bitset, EntryStatus, LedgerEvent,
+    MstPipeline, PathCache, Preemption, QueueEntry, ReservationLedger, Role, RouteScratch,
+    SchedulerKind, ShardId, SurgeryCosts, TaskClass, TaskId, VecPool,
 };
 use rescq_decoder::{DecoderRuntime, WindowId};
 use rescq_lattice::{AncillaIndex, DataAdjacency, EdgeType};
@@ -191,9 +191,9 @@ struct PriorityPolicy {
     factory_qubit: Vec<bool>,
 }
 
-/// A shard worker's proposal for one ancilla (the *propose* phase of the
-/// protocol). Proposals carry no payload: the commit phase recomputes the
-/// decision against committed state, so a stale proposal is simply dropped.
+/// The propose phase's decision for one ancilla. Proposals carry no
+/// payload: the commit phase recomputes the decision against committed
+/// state, so a stale proposal is simply dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum AncillaAction {
     /// Return a still-preparing ancilla to the pool (§3.2 reclaim).
@@ -292,16 +292,9 @@ struct RtEngine<'a> {
     /// scarce ancillas stay available for injections and routing.
     constrained: bool,
 
-    /// Contiguous regions of the ancilla network, one per scheduling shard.
-    /// A function of the fabric alone (never the thread count), so every
-    /// region-derived quantity is thread-count invariant.
+    /// Contiguous regions of the ancilla network (a function of the fabric
+    /// alone): class overrides, cross-shard counters and traced regions.
     partition: RegionPartition,
-    /// Executes region scans: inline for one thread, over the persistent
-    /// shard worker pool otherwise. Invisible to the schedule by
-    /// construction (workers only propose; commits are canonical-order).
-    exec: ShardExecutor,
-    /// Resolved worker-thread count (reported).
-    engine_threads: u32,
     /// Class-aware arbitration policy (`None` = class-blind, the default).
     priority: Option<PriorityPolicy>,
 
@@ -324,7 +317,7 @@ struct RtEngine<'a> {
     phase_nanos: [u64; 4],
     /// Optional per-cycle observation hook (the allocation-regression
     /// harness); observes only, never feeds back into the schedule.
-    cycle_probe: Option<&'a (dyn Fn(u64) + Sync)>,
+    cycle_probe: Option<&'a dyn Fn(u64)>,
     /// Per-qubit tile adjacency, precomputed once from the static layout:
     /// the hot loop (injection starts, Rz site enqueueing, class lookups)
     /// borrows these instead of rebuilding — and heap-allocating — them
@@ -353,14 +346,6 @@ struct RtEngine<'a> {
     traced_occupancy: Vec<(u32, bool)>,
 }
 
-// Shard workers scan a frozen `&RtEngine` concurrently during the propose
-// phase, so the whole engine state must be `Sync`; asserted at compile time
-// (part of the sharding refactor's Send/Sync audit).
-const _: () = {
-    const fn assert_sync<T: Sync>() {}
-    assert_sync::<RtEngine<'static>>();
-};
-
 /// Runs the realtime RESCQ schedule. `recorder` attaches a structured
 /// trace sink; `None` runs untraced (identical schedule, no timing).
 pub(crate) fn run_realtime(
@@ -370,7 +355,7 @@ pub(crate) fn run_realtime(
     fabric: Fabric,
     rng: ChaCha8Rng,
     recorder: Option<&dyn Recorder>,
-    cycle_probe: Option<&(dyn Fn(u64) + Sync)>,
+    cycle_probe: Option<&dyn Fn(u64)>,
 ) -> Result<ExecutionReport, SimError> {
     let d = config.rounds_per_cycle();
     let prep_model = PreparationModel::with_calibration(config.rus_params(), config.calibration);
@@ -386,8 +371,6 @@ pub(crate) fn run_realtime(
     let adjacency: Vec<DataAdjacency> = (0..circuit.num_qubits())
         .map(|q| fabric.layout.data_adjacency(QubitId(q)))
         .collect();
-    // More executors than regions would idle; the clamp only affects the
-    // reported thread count, never the schedule.
     let mut partition = RegionPartition::for_fabric(num_ancillas);
     let priority = config
         .priority_classes
@@ -407,9 +390,7 @@ pub(crate) fn run_realtime(
         // with a larger compute block stays a compute region, otherwise a
         // coarse region (small fabrics are a single region) would promote
         // everything and collapse the lattice back to uniform seniority.
-        // A pure function of the circuit and fabric — regions, overrides
-        // and therefore every class-driven decision are identical for any
-        // thread count.
+        // A pure function of the circuit and fabric.
         let mut frontage = vec![(0u32, 0u32); partition.num_regions()];
         for q in 0..circuit.num_qubits() {
             let adj = &adjacency[q as usize];
@@ -430,11 +411,6 @@ pub(crate) fn run_realtime(
             }
         }
     }
-    let threads = config
-        .resolved_engine_threads()
-        .clamp(1, partition.num_regions());
-    let exec = ShardExecutor::new(threads, num_ancillas);
-
     let mut ledger = ReservationLedger::new(num_ancillas);
     // One task per non-free gate at most: sizing the ledger's edge lists
     // (and the task vectors below) up front keeps task creation off the
@@ -484,8 +460,6 @@ pub(crate) fn run_realtime(
         pools: VecPools::default(),
         constrained: 2 * num_ancillas <= 4 * circuit.num_qubits() as usize,
         partition,
-        engine_threads: exec.threads() as u32,
-        exec,
         priority,
         counters: RunCounters::default(),
         cnot_latency: LatencyHistogram::new(),
@@ -563,7 +537,7 @@ impl RtEngine<'_> {
         Ok(ExecutionReport {
             scheduler: SchedulerKind::Rescq,
             seed: config.seed,
-            engine_threads: self.engine_threads,
+            engine_threads: 1,
             distance: self.d,
             total_rounds: self.last_completion,
             gates_executed: self.gates_executed,
@@ -722,7 +696,7 @@ impl RtEngine<'_> {
                 progress |= self.try_start_task(id);
             }
             self.note_phase(Phase::Start, t1);
-            // Phases 3 + 4 — propose and commit (the shard barrier).
+            // Phases 3 + 4 — propose and commit.
             progress |= self.dispatch_ancillas();
             self.live_tasks.retain(|&id| !self.tasks[id.index()].done);
             if !progress {
@@ -805,11 +779,11 @@ impl RtEngine<'_> {
         }
     }
 
-    /// The shard phases of one scheduling pass: every region is scanned
-    /// (in parallel for `engine_threads > 1`) against the frozen pass-start
-    /// state, producing candidate ancillas; the coordinator then commits
-    /// the candidates serially in ascending-ancilla order, recomputing each
-    /// decision against committed state.
+    /// The propose and commit phases of one scheduling pass: the scan
+    /// frontier is evaluated against the pass-start state, producing
+    /// candidate ancillas; the candidates are then committed in
+    /// ascending-ancilla order, recomputing each decision against committed
+    /// state.
     ///
     /// Why this is bit-identical to the historical mutate-as-you-scan loop
     /// (`for a in 0..n { dispatch_ancilla(a) }`): within the ancilla phase,
@@ -823,8 +797,7 @@ impl RtEngine<'_> {
     /// ascending order, as the sequential loop — and anything enabled by
     /// this pass's commits is picked up by the next pass of the fixpoint,
     /// again matching the sequential loop. RNG draws, event pushes and
-    /// counters therefore occur in an identical total order for any thread
-    /// count.
+    /// counters therefore occur in the same total order as that loop.
     fn dispatch_ancillas(&mut self) -> bool {
         let traced = self.recorder.is_some();
         let t0 = traced.then(Instant::now);
@@ -846,17 +819,13 @@ impl RtEngine<'_> {
                 .map(|(d, n)| d & n),
         );
         self.ledger.clear_dirty();
-        {
-            let this = &*self;
-            // Word-parallel scan over the frontier words: 64 idle or
-            // untouched ancillas are skipped per word-compare.
-            this.exec.scan_words_into(
-                &this.partition,
-                &words,
-                &|a| this.ancilla_action(a).is_some(),
-                &mut candidates,
-            );
-        }
+        // Word-parallel scan over the frontier words: 64 idle or untouched
+        // ancillas are skipped per word-compare.
+        for_each_set_bit(&words, |a| {
+            if self.ancilla_action(a as u32).is_some() {
+                candidates.push(a as u32);
+            }
+        });
         words.clear();
         self.scratch.scan_words = words;
         self.note_phase(Phase::Propose, t0);
@@ -1270,13 +1239,12 @@ impl RtEngine<'_> {
     }
 
     /// Registers a CNOT path's Route claims with the ledger, tagged with
-    /// the shards involved: the task's home shard is the region of the
+    /// the regions involved: the task's home shard is the region of the
     /// path's control-side endpoint, and every claim on an ancilla hosted
-    /// in another region is a cross-shard claim (counted by the ledger's
-    /// arbitration; the claims themselves are ordinary seniority-ordered
-    /// reservations). Each claim carries the proposing task's priority
-    /// class, so cross-shard arbitration is class-aware without any change
-    /// to the barrier protocol — the class travels with the reservation.
+    /// in another region is a cross-shard claim (counted by the ledger;
+    /// the claims themselves are ordinary seniority-ordered reservations).
+    /// Each claim carries the task's priority class, so arbitration is
+    /// class-aware — the class travels with the reservation.
     fn enqueue_route_claims(&mut self, id: TaskId, path: &[AncillaIndex], class: TaskClass) {
         let Some(&first) = path.first() else { return };
         let home = ShardId(self.partition.region_of(first));
@@ -1295,10 +1263,10 @@ impl RtEngine<'_> {
     // Ancilla queue processing
     // ------------------------------------------------------------------
 
-    /// The pure per-ancilla scheduling decision — the shard workers'
-    /// *propose* half. Reads only frozen state (this runs concurrently on
-    /// worker threads), and is re-evaluated by [`Self::commit_ancilla`]
-    /// against committed state before anything is applied.
+    /// The pure per-ancilla scheduling decision — the *propose* half.
+    /// Reads engine state without mutating it, and is re-evaluated by
+    /// [`Self::commit_ancilla`] against committed state before anything is
+    /// applied.
     fn ancilla_action(&self, a: AncillaIndex) -> Option<AncillaAction> {
         let top = self.ledger.queue(a).top()?;
         if !top.role.is_prep() {
@@ -1362,7 +1330,7 @@ impl RtEngine<'_> {
         }
     }
 
-    /// The *commit* half: revalidates a shard proposal against committed
+    /// The *commit* half: revalidates a proposal against committed
     /// state (earlier commits of the same pass may have invalidated it, or
     /// changed which action applies) and executes it through the ledger.
     /// Always called in ascending-ancilla order — the canonical commit
@@ -2084,8 +2052,7 @@ impl RtEngine<'_> {
     /// task that cannot make progress charges one cycle to the cause
     /// blocking it (ancilla contention, decoder backlog, route blocked, or
     /// class displacement). Derived purely from simulated state, so the
-    /// counters are bit-identical with or without a recorder and for any
-    /// thread count.
+    /// counters are bit-identical with or without a recorder.
     fn sample_stalls(&mut self) {
         for i in 0..self.live_tasks.len() {
             let id = self.live_tasks[i];
@@ -2158,7 +2125,7 @@ impl RtEngine<'_> {
     /// only). State is read at the deterministic tick point — fabric
     /// occupancy and ledger queue depth are pure schedule state — and
     /// ancillas are scanned in ascending order, so the emitted stream is
-    /// identical at any `engine_threads`.
+    /// deterministic.
     fn sample_occupancy(&mut self) {
         let Some(rec) = self.recorder else { return };
         let round = self.clock;

@@ -13,7 +13,7 @@
 //! layer's CNOTs by endpoint distance and routes them as an edge-disjoint
 //! batch, which extracts more parallelism.
 
-use crate::engine::shard::RegionPartition;
+use crate::engine::region::RegionPartition;
 use crate::engine::EventQueue;
 use crate::fabric::Fabric;
 use crate::metrics::{ExecutionReport, LatencyHistogram, RunCounters};
@@ -308,8 +308,6 @@ pub(crate) fn run_static(
     Ok(ExecutionReport {
         scheduler: kind,
         seed: config.seed,
-        // The static baselines are layer-synchronous single-threaded loops;
-        // `engine_threads` only shards the realtime engine.
         engine_threads: 1,
         distance: d,
         total_rounds: clock,

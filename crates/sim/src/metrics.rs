@@ -119,8 +119,8 @@ pub struct RunCounters {
     /// created a cycle (the naive-yield deadlock, caught by the ledger).
     pub preemptions_rejected_cycle: u64,
     /// Applied preemptions whose target ancilla lay outside the preempting
-    /// task's home shard (region-partitioned RESCQ engine; thread-count
-    /// invariant because the region partition follows the fabric alone).
+    /// task's home shard (the fabric region of its first ancilla; the
+    /// region partition follows the fabric alone).
     pub preemptions_cross_shard: u64,
     /// Ledger claims registered on an ancilla hosted outside the claiming
     /// task's home shard (CNOT routes leaving their home region).
@@ -189,8 +189,9 @@ pub struct ExecutionReport {
     pub scheduler: SchedulerKind,
     /// The run seed.
     pub seed: u64,
-    /// Engine worker threads the run resolved to (always 1 for the static
-    /// baselines; never affects the schedule, only wall-clock).
+    /// Always 1: every engine runs one schedule on one thread. Kept only
+    /// because the repository benchmark (`benchmark/src/engine.rs`) records
+    /// it as a run condition; no output of this workspace reads it.
     pub engine_threads: u32,
     /// Code distance.
     pub distance: u32,
@@ -277,7 +278,7 @@ fn summarize(h: &LatencyHistogram) -> HistogramSummary {
 /// Every metric is schedule-derived (rounds, cycles, counters) — the
 /// wall-clock `phase_nanos` are deliberately excluded — so the
 /// snapshot is a pure function of config + seed, byte-identical with
-/// tracing on or off at any engine thread count.
+/// tracing on or off.
 pub fn metrics_snapshot(report: &ExecutionReport) -> MetricsSnapshot {
     let mut s = MetricsSnapshot::new();
     let c = &report.counters;

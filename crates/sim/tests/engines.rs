@@ -167,12 +167,10 @@ fn uncompressed_runs_bit_identical_to_pre_ledger_engine() {
 }
 
 #[test]
-fn sharded_engine_reproduces_the_golden_schedules_for_any_thread_count() {
+fn golden_schedules_replay_identically() {
     // The golden rounds pinned in
-    // `uncompressed_runs_bit_identical_to_pre_ledger_engine` must hold not
-    // just for the default single-threaded engine but for every engine
-    // thread count: the sharded dispatch (propose in parallel, commit in
-    // canonical order at the barrier) is bit-identical by construction.
+    // `uncompressed_runs_bit_identical_to_pre_ledger_engine`, and a second
+    // run of the same seed, must give the same full report.
     for (qubits, layers, seed, rounds) in [
         (9u32, 4u32, 11u64, 411u64),
         (6, 3, 40, 284),
@@ -181,36 +179,22 @@ fn sharded_engine_reproduces_the_golden_schedules_for_any_thread_count() {
         let c = rz_heavy(qubits, layers);
         let reference = simulate(&c, &config(SchedulerKind::Rescq, seed)).unwrap();
         assert_eq!(reference.total_rounds, rounds, "golden moved");
-        for threads in [2usize, 4, 16] {
-            let cfg = SimConfig::builder()
-                .scheduler(SchedulerKind::Rescq)
-                .engine_threads(threads)
-                .seed(seed)
-                .build();
-            let mut r = simulate(&c, &cfg).unwrap();
-            assert!(r.engine_threads >= 1);
-            r.engine_threads = reference.engine_threads;
-            assert_eq!(
-                r, reference,
-                "rz_heavy({qubits},{layers}) seed={seed} threads={threads} diverged"
-            );
-        }
+        assert_eq!(reference.engine_threads, 1);
+        let replay = simulate(&c, &config(SchedulerKind::Rescq, seed)).unwrap();
+        assert_eq!(
+            replay, reference,
+            "rz_heavy({qubits},{layers}) seed={seed} replay diverged"
+        );
     }
     // Compressed fabrics drive the preemption machinery; identical there too.
     let c = rz_heavy(8, 3);
-    for threads in [2usize, 4] {
-        let mk = |t: usize| {
-            SimConfig::builder()
-                .compression(1.0)
-                .engine_threads(t)
-                .seed(3)
-                .build()
-        };
-        let reference = simulate(&c, &mk(1)).unwrap();
-        let mut r = simulate(&c, &mk(threads)).unwrap();
-        r.engine_threads = reference.engine_threads;
-        assert_eq!(r, reference, "compressed run diverged at {threads} threads");
-    }
+    let cfg = SimConfig::builder().compression(1.0).seed(3).build();
+    let reference = simulate(&c, &cfg).unwrap();
+    assert_eq!(
+        simulate(&c, &cfg).unwrap(),
+        reference,
+        "compressed run replay diverged"
+    );
 }
 
 #[test]

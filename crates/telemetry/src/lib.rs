@@ -16,8 +16,8 @@
 //! quantity that feeds back into reports is derived from simulation
 //! time (rounds/cycles), never wall-clock; wall-clock lives only in the
 //! trace, the phase histograms, and perf baselines. Schedules and
-//! reports are therefore byte-identical with tracing on or off, at any
-//! engine thread count (property `tracing_is_inert`).
+//! reports are therefore byte-identical with tracing on or off (property
+//! `tracing_is_inert`).
 //!
 //! ## Example
 //!
@@ -32,6 +32,7 @@
 //! assert!(json.contains("\"traceEvents\""));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -53,15 +54,15 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// The four phases of one realtime-engine dispatch pass (the sharded
-/// schedule → start → propose → commit barrier protocol).
+/// The four phases of one realtime-engine dispatch pass (schedule →
+/// start → propose → commit).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Phase 1: drain the scheduling worklist (newly ready gates).
     Schedule,
     /// Phase 2: try to start every live task.
     Start,
-    /// Phase 3: region workers scan their shards and propose actions.
+    /// Phase 3: scan the dirty ancilla queues and propose actions.
     Propose,
     /// Phase 4: commit proposed actions in canonical ancilla order.
     Commit,
@@ -94,7 +95,7 @@ impl Phase {
 
 /// Why a live task failed to make progress during a cycle — the
 /// stall-attribution buckets. Attribution is derived from schedule
-/// state alone (deterministic, thread-count invariant).
+/// state alone (deterministic, independent of tracing).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StallCause {
     /// The task's ancilla claims sit behind other holders on the
@@ -272,7 +273,7 @@ pub enum Event {
 /// A sink for trace [`Event`]s.
 ///
 /// `record` takes `&self` so a single recorder can be shared by
-/// concurrent producers (harness workers, engine threads);
+/// concurrent producers (harness workers, seed threads);
 /// implementations synchronise internally. Implementations must never
 /// panic on any event and must not feed anything back into the
 /// simulation — see the crate-level determinism contract.

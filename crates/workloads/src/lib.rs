@@ -16,6 +16,7 @@
 //! assert_eq!(ALL_BENCHMARKS.len(), 23);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -32,6 +32,8 @@
 //! assert!(report.total_cycles() > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use rescq_circuit as circuit;
 pub use rescq_core as core;
 pub use rescq_decoder as decoder;

@@ -109,22 +109,16 @@ fn constrained_ising_n420_matches_pre_incremental_golden() {
 
 #[test]
 fn sharded_engine_matches_the_golden_on_every_thread_count() {
-    // The sharded-engine determinism contract pinned on a paper workload:
-    // the same golden round count (and the full report) for 1, 2 and 4
-    // engine threads, with 1-thread output matching the historical engine
-    // exactly. Multi-thread runs go through the lock-free proposal-ring
-    // handoff (serial runs bypass it), so this golden also pins the ring
-    // path against the PR 4 numbers.
+    // The engine's determinism contract pinned on a paper workload: the
+    // historical golden round count, and a same-seed replay reproducing the
+    // full report. (The name predates the single-threaded engine; the
+    // 1-thread golden is the one that survived.)
     let circuit = rescq_repro::workloads::generate("wstate_n27", 1).unwrap();
-    let mk = |threads: usize| SimConfig::builder().seed(7).engine_threads(threads).build();
-    let reference = simulate(&circuit, &mk(1)).unwrap();
-    assert_eq!(reference.total_rounds, 2391, "1-thread golden moved");
-    for threads in [2usize, 4] {
-        let mut r = simulate(&circuit, &mk(threads)).unwrap();
-        assert_eq!(r.total_rounds, 2391, "{threads}-thread run diverged");
-        r.engine_threads = reference.engine_threads;
-        assert_eq!(r, reference, "full report diverged at {threads} threads");
-    }
+    let config = SimConfig::builder().seed(7).build();
+    let reference = simulate(&circuit, &config).unwrap();
+    assert_eq!(reference.total_rounds, 2391, "golden moved");
+    let replay = simulate(&circuit, &config).unwrap();
+    assert_eq!(replay, reference, "same-seed replay diverged");
 }
 
 #[test]

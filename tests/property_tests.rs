@@ -246,19 +246,18 @@ fn constrained_preemption_terminates_and_stays_acyclic() {
     );
 }
 
-/// The sharded-engine determinism contract: for random shard counts ×
-/// constrained workloads, every run terminates with every gate executed,
-/// the ledger stays acyclic across cross-shard preemptions (the engine
-/// `debug_assert`s `ReservationLedger::is_acyclic()` after every applied
-/// preemption, so these debug-profile runs abort on a violation), and the
-/// schedule is **byte-identical to the 1-thread run** — total rounds,
-/// latency histograms, RNG-dependent failure counts, every counter. The
-/// `engine_threads` report field is the one legitimate difference, so it is
-/// normalised before comparison. Thread counts above the region count
-/// exercise the executor clamp; `0` exercises auto-detection.
+/// The engine's determinism contract on random constrained workloads:
+/// every run terminates with every gate executed, the ledger stays acyclic
+/// across cross-shard preemptions (the engine `debug_assert`s
+/// `ReservationLedger::is_acyclic()` after every applied preemption, so
+/// these debug-profile runs abort on a violation), and a same-seed replay
+/// reproduces the full report — total rounds, latency histograms,
+/// RNG-dependent failure counts, every counter. (The name predates the
+/// single-threaded engine.)
 #[test]
 fn sharded_engine_is_thread_count_invariant() {
     let mut cross_shard_activity = 0u64;
+    let mut cross_shard_preemptions = 0u64;
     for case in 0..20u64 {
         let mut rng = ChaCha8Rng::seed_from_u64(0x5AAD_0000 ^ case);
         let n = rng.gen_range(4u32..12);
@@ -267,147 +266,77 @@ fn sharded_engine_is_thread_count_invariant() {
         let circuit = Circuit::from_gates(n, gates).unwrap();
         let compression = [0.0, 0.5, 0.75, 1.0][(case % 4) as usize];
         let seed = rng.gen_range(0u64..1000);
-        let threads = [2usize, 3, 4, 8, 0][(case % 5) as usize];
-        let build = |t: usize| {
-            SimConfig::builder()
-                .scheduler(SchedulerKind::Rescq)
-                .compression(compression)
-                .engine_threads(t)
-                .seed(seed)
-                .max_cycles(500_000)
-                .build()
-        };
-        let reference = simulate(&circuit, &build(1))
-            .unwrap_or_else(|e| panic!("case {case}: 1-thread run failed: {e}"));
+        let config = SimConfig::builder()
+            .scheduler(SchedulerKind::Rescq)
+            .compression(compression)
+            .seed(seed)
+            .max_cycles(500_000)
+            .build();
+        let reference =
+            simulate(&circuit, &config).unwrap_or_else(|e| panic!("case {case}: run failed: {e}"));
         assert_eq!(reference.gates_executed, circuit.len(), "case {case}");
-        let sharded = simulate(&circuit, &build(threads))
-            .unwrap_or_else(|e| panic!("case {case} ({threads} threads): {e}"));
-        let mut normalised = sharded.clone();
-        normalised.engine_threads = reference.engine_threads;
-        assert_eq!(
-            normalised, reference,
-            "case {case}: {threads}-thread schedule diverged from the 1-thread run"
-        );
+        let replay = simulate(&circuit, &config).unwrap();
+        assert_eq!(replay, reference, "case {case}: replay diverged");
         cross_shard_activity +=
             reference.counters.claims_cross_shard + reference.counters.preemptions_cross_shard;
     }
     // Structured benchmarks whose paths are known to span several regions,
     // so the corpus provably exercises cross-shard arbitration.
-    for (name, compression, seed) in [("qft_n18", 0.5, 7u64), ("wstate_n27", 0.0, 7)] {
-        let circuit = rescq_repro::workloads::generate(name, 1).unwrap();
-        let build = |t: usize| {
-            SimConfig::builder()
-                .scheduler(SchedulerKind::Rescq)
-                .compression(compression)
-                .engine_threads(t)
-                .seed(seed)
-                .max_cycles(500_000)
-                .build()
-        };
-        let reference = simulate(&circuit, &build(1)).unwrap();
-        for threads in [2usize, 4] {
-            let mut sharded = simulate(&circuit, &build(threads)).unwrap();
-            sharded.engine_threads = reference.engine_threads;
-            assert_eq!(sharded, reference, "{name}@{compression} x{threads}");
-        }
-        cross_shard_activity +=
-            reference.counters.claims_cross_shard + reference.counters.preemptions_cross_shard;
-    }
-    assert!(
-        cross_shard_activity > 0,
-        "the corpus must cross shard boundaries at least once"
-    );
-    // Class-aware runs obey the same contract: classification, region
-    // overrides and class preemptions are pure functions of circuit +
-    // fabric, so a lattice-enabled schedule is thread-count invariant too —
-    // and the factory workload provably exercises class preemptions.
-    {
-        use rescq_repro::core::ClassLattice;
-        let circuit = rescq_repro::workloads::generate("factory_n12", 1).unwrap();
-        let build = |t: usize| {
-            SimConfig::builder()
-                .scheduler(SchedulerKind::Rescq)
-                .compression(0.25)
-                .priority_classes(Some(ClassLattice::default()))
-                .engine_threads(t)
-                .seed(5)
-                .max_cycles(500_000)
-                .build()
-        };
-        let reference = simulate(&circuit, &build(1)).unwrap();
-        assert!(
-            reference.counters.preemptions_class > 0,
-            "the priority case must exercise class preemption"
-        );
-        for threads in [2usize, 4] {
-            let mut sharded = simulate(&circuit, &build(threads)).unwrap();
-            sharded.engine_threads = reference.engine_threads;
-            assert_eq!(sharded, reference, "factory_n12 priority x{threads}");
-        }
-    }
-}
-
-/// Seeded stress for the lock-free proposal-ring handoff: congested
-/// compressed fabrics run at 2 and 4 threads for thousands of dispatch
-/// passes. The ring's capacity is the ancilla count rounded up to a power
-/// of two and its head index only ever grows (slots recycle by masking),
-/// so a run whose committed actions outnumber the fabric's ancillas — every
-/// one of these, by orders of magnitude — wraps the ring repeatedly; the
-/// wrap mechanics themselves are unit-pinned in `shard.rs`
-/// (`proposal_ring_wraps_across_passes`). On top of that the corpus must
-/// exercise cross-shard preemption, and every sharded schedule must stay
-/// byte-identical to the serial engine's.
-#[test]
-fn proposal_ring_stress_wraps_and_preserves_bit_identity() {
-    let mut cross_shard_preemptions = 0u64;
     for (name, compression, seed) in [
         ("qft_n18", 0.5, 7u64),
         ("qft_n18", 0.75, 11),
-        ("factory_n12", 0.25, 5),
+        ("wstate_n27", 0.0, 7),
         ("wstate_n27", 0.5, 3),
     ] {
         let circuit = rescq_repro::workloads::generate(name, 1).unwrap();
-        let build = |t: usize| {
-            SimConfig::builder()
-                .scheduler(SchedulerKind::Rescq)
-                .compression(compression)
-                .engine_threads(t)
-                .seed(seed)
-                .max_cycles(500_000)
-                .build()
-        };
-        let reference = simulate(&circuit, &build(1))
-            .unwrap_or_else(|e| panic!("{name}@{compression} serial: {e}"));
+        let config = SimConfig::builder()
+            .scheduler(SchedulerKind::Rescq)
+            .compression(compression)
+            .seed(seed)
+            .max_cycles(500_000)
+            .build();
+        let reference = simulate(&circuit, &config).unwrap();
         assert_eq!(
             reference.gates_executed,
             circuit.len(),
             "{name}@{compression}"
         );
-        // Far more committed proposals than any ring capacity for these
-        // fabrics (the largest here is 54 ancillas → 64 slots): the pooled
-        // runs below cannot avoid wrapping. Injections (RUS attempts) are
-        // the proposal count's dominant term — factory circuits have few
-        // gates but every rotation retries ~2 injections.
-        assert!(
-            reference.counters.injections > 128,
-            "{name}@{compression}: {} injections is too few to force a ring wrap",
-            reference.counters.injections
-        );
-        for threads in [2usize, 4] {
-            let mut sharded = simulate(&circuit, &build(threads))
-                .unwrap_or_else(|e| panic!("{name}@{compression} x{threads}: {e}"));
-            sharded.engine_threads = reference.engine_threads;
-            assert_eq!(
-                sharded, reference,
-                "{name}@{compression}: ring handoff diverged at {threads} threads"
-            );
-        }
+        let replay = simulate(&circuit, &config).unwrap();
+        assert_eq!(replay, reference, "{name}@{compression}: replay diverged");
+        cross_shard_activity +=
+            reference.counters.claims_cross_shard + reference.counters.preemptions_cross_shard;
         cross_shard_preemptions += reference.counters.preemptions_cross_shard;
     }
     assert!(
-        cross_shard_preemptions > 0,
-        "the stress corpus must exercise cross-shard preemption"
+        cross_shard_activity > 0,
+        "the corpus must cross shard boundaries at least once"
     );
+    assert!(
+        cross_shard_preemptions > 0,
+        "the corpus must exercise cross-shard preemption"
+    );
+    // Class-aware runs: classification, region overrides and class
+    // preemptions are pure functions of circuit + fabric, and the factory
+    // workload provably exercises class preemptions.
+    {
+        use rescq_repro::core::ClassLattice;
+        let circuit = rescq_repro::workloads::generate("factory_n12", 1).unwrap();
+        let config = SimConfig::builder()
+            .scheduler(SchedulerKind::Rescq)
+            .compression(0.25)
+            .priority_classes(Some(ClassLattice::default()))
+            .seed(5)
+            .max_cycles(500_000)
+            .build();
+        let reference = simulate(&circuit, &config).unwrap();
+        assert_eq!(reference.gates_executed, circuit.len(), "factory_n12");
+        assert!(
+            reference.counters.preemptions_class > 0,
+            "the priority case must exercise class preemption"
+        );
+        let replay = simulate(&circuit, &config).unwrap();
+        assert_eq!(replay, reference, "factory_n12 priority replay diverged");
+    }
 }
 
 /// Regression: the naive move-top-entry-to-back yield that was tried before
@@ -535,12 +464,13 @@ fn uniform_class_ledgers_reproduce_the_seed_arbitration() {
     );
 }
 
-/// The union-find decoder is thread-count invariant: its sampled error
-/// stream, cluster-growth work and emergent window latencies are keyed on
+/// The union-find decoder is deterministic: its sampled error stream,
+/// cluster-growth work and emergent window latencies are keyed on
 /// (channel seed, tile, per-tile window index), all functions of the
-/// schedule — so a sharded run's report, decode-work counters included,
-/// is byte-identical to the 1-thread run. The corpus must provably
-/// exercise the real decoder (nonzero defects and growth steps).
+/// schedule — so a same-seed replay's report, decode-work counters
+/// included, is byte-identical. The corpus must provably exercise the real
+/// decoder (nonzero defects and growth steps). (The name predates the
+/// single-threaded engine.)
 #[test]
 fn union_find_decoder_is_thread_count_invariant() {
     let mut decode_activity = 0u64;
@@ -551,44 +481,29 @@ fn union_find_decoder_is_thread_count_invariant() {
         let gates: Vec<Gate> = (0..len).map(|_| arb_gate(&mut rng, n)).collect();
         let circuit = Circuit::from_gates(n, gates).unwrap();
         // High physical error rates make every window carry defects, so the
-        // invariance claim covers real cluster growth, not empty syndromes.
+        // determinism claim covers real cluster growth, not empty syndromes.
         let p = [1e-4, 0.02, 0.05][(case % 3) as usize];
         let seed = rng.gen_range(0u64..1000);
-        let build = |t: usize| {
-            SimConfig::builder()
-                .scheduler(SchedulerKind::Rescq)
-                .decoder(DecoderConfig::union_find(rng_free_throughput(case)))
-                .physical_error_rate(p)
-                .engine_threads(t)
-                .seed(seed)
-                .max_cycles(500_000)
-                .build()
-        };
-        let reference = simulate(&circuit, &build(1))
-            .unwrap_or_else(|e| panic!("case {case}: 1-thread run failed: {e}"));
+        let throughput = [2.0, 4.0, 8.0, 16.0][(case % 4) as usize];
+        let config = SimConfig::builder()
+            .scheduler(SchedulerKind::Rescq)
+            .decoder(DecoderConfig::union_find(throughput))
+            .physical_error_rate(p)
+            .seed(seed)
+            .max_cycles(500_000)
+            .build();
+        let reference =
+            simulate(&circuit, &config).unwrap_or_else(|e| panic!("case {case}: run failed: {e}"));
         assert_eq!(reference.gates_executed, circuit.len(), "case {case}");
         decode_activity +=
             reference.counters.decode_defects + reference.counters.decode_growth_steps;
-        for threads in [2usize, 4] {
-            let mut sharded = simulate(&circuit, &build(threads))
-                .unwrap_or_else(|e| panic!("case {case} ({threads} threads): {e}"));
-            sharded.engine_threads = reference.engine_threads;
-            assert_eq!(
-                sharded, reference,
-                "case {case}: {threads}-thread union-find schedule diverged"
-            );
-        }
+        let replay = simulate(&circuit, &config).unwrap();
+        assert_eq!(replay, reference, "case {case}: union-find replay diverged");
     }
     assert!(
         decode_activity > 0,
         "the corpus must exercise real decode work at least once"
     );
-}
-
-/// Deterministic per-case throughput for the union-find invariance corpus
-/// (kept outside the closure so every thread count sees the same value).
-fn rng_free_throughput(case: u64) -> f64 {
-    [2.0, 4.0, 8.0, 16.0][(case % 4) as usize]
 }
 
 /// The union-find decoder's latency is emergent, so it must respond to the
