@@ -1,13 +1,14 @@
 //! Decoder-subsystem micro-benchmark: raw model submission throughput and
 //! the full runtime submit/retire cycle, for each decoder kind.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use rescq_bench::{print_header, time_calls};
 use rescq_decoder::{
     AdaptiveDecoder, DecoderConfig, DecoderModel, DecoderRuntime, FixedLatencyDecoder, IdealDecoder,
 };
 
 const WINDOWS: u32 = 1024;
 const TILES: u32 = 64;
+const SAMPLES: usize = 20;
 
 fn drive_model(model: &mut dyn DecoderModel) -> u64 {
     let mut last = 0;
@@ -17,35 +18,27 @@ fn drive_model(model: &mut dyn DecoderModel) -> u64 {
     last
 }
 
-fn benches(c: &mut Criterion) {
-    c.bench_function("model_ideal_1k_windows", |b| {
-        b.iter(|| drive_model(&mut IdealDecoder))
+fn main() {
+    print_header(
+        "Decoder micro-benchmark — model submission and runtime cycle",
+        "1024 windows over 64 tiles",
+    );
+    time_calls("model_ideal_1k_windows", SAMPLES, || {
+        drive_model(&mut IdealDecoder)
     });
-
-    c.bench_function("model_fixed_1k_windows", |b| {
-        b.iter(|| drive_model(&mut FixedLatencyDecoder::new(&DecoderConfig::fixed(0.5))))
+    time_calls("model_fixed_1k_windows", SAMPLES, || {
+        drive_model(&mut FixedLatencyDecoder::new(&DecoderConfig::fixed(0.5)))
     });
-
-    c.bench_function("model_adaptive_1k_windows", |b| {
-        b.iter(|| drive_model(&mut AdaptiveDecoder::new(&DecoderConfig::adaptive(0.5, 4))))
+    time_calls("model_adaptive_1k_windows", SAMPLES, || {
+        drive_model(&mut AdaptiveDecoder::new(&DecoderConfig::adaptive(0.5, 4)))
     });
-
-    c.bench_function("runtime_submit_retire_1k_windows", |b| {
-        b.iter(|| {
-            let mut rt = DecoderRuntime::new(&DecoderConfig::adaptive(0.5, 4), 7);
-            let mut consumed = 0u64;
-            for i in 0..WINDOWS {
-                let (id, ready) = rt.submit(i % TILES, 14, (i as u64) * 2);
-                consumed += rt.retire(id, ready);
-            }
-            consumed
-        })
+    time_calls("runtime_submit_retire_1k_windows", SAMPLES, || {
+        let mut rt = DecoderRuntime::new(&DecoderConfig::adaptive(0.5, 4), 7);
+        let mut consumed = 0u64;
+        for i in 0..WINDOWS {
+            let (id, ready) = rt.submit(i % TILES, 14, (i as u64) * 2);
+            consumed += rt.retire(id, ready);
+        }
+        consumed
     });
 }
-
-criterion_group! {
-    name = decoder;
-    config = Criterion::default().sample_size(20);
-    targets = benches
-}
-criterion_main!(decoder);

@@ -1,79 +1,97 @@
-//! §5.4.1 micro-benchmark: incremental MST maintenance cost.
+//! §5.4.1 micro-benchmark: MST maintenance and tree-path query cost.
 //!
 //! The paper reports ≈92 µs per k=200 update batch on a 100×100 grid and
-//! ≈330 µs on 1000×1000 (M2 MacBook Air). This bench measures our
-//! `IncrementalMst` on the same shapes, plus the full-rebuild alternative the
-//! incremental scheme replaces.
+//! ≈330 µs on 1000×1000 (M2 MacBook Air) for its per-edge update scheme.
+//! This bench times what the simulator runs instead: one
+//! `IncrementalMst::set_weights` batch Kruskal rebuild with 200 changed
+//! edge weights, and `tree_path_into` queries on the rooted tree.
+//! `RESCQ_BENCH_FULL=1` adds the 1000×1000 grid.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use rescq_bench::{bench_scale, print_header, time_calls, BenchScale};
 use rescq_lattice::IncrementalMst;
 
-fn grid_edges(w: u32, h: u32) -> Vec<(u32, u32, u32)> {
+/// Changed edge weights per rebuild (the paper's k = 200 batch).
+const CHANGES: usize = 200;
+/// Tree-path queries per timed call.
+const QUERIES: usize = 1000;
+
+fn grid_edges(side: u32, rng: &mut ChaCha8Rng) -> Vec<(u32, u32, u32)> {
     let mut edges = Vec::new();
-    for y in 0..h {
-        for x in 0..w {
-            let i = y * w + x;
-            if x + 1 < w {
-                edges.push((i, i + 1, 1));
+    for y in 0..side {
+        for x in 0..side {
+            let i = y * side + x;
+            if x + 1 < side {
+                edges.push((i, i + 1, rng.gen_range(0..100u32)));
             }
-            if y + 1 < h {
-                edges.push((i, i + w, 1));
+            if y + 1 < side {
+                edges.push((i, i + side, rng.gen_range(0..100u32)));
             }
         }
     }
     edges
 }
 
-fn bench_updates(c: &mut Criterion, side: u32, k: usize) {
-    let edges = grid_edges(side, side);
-    let mst = IncrementalMst::new((side * side) as usize, &edges);
+fn bench_grid(side: u32, samples: usize) {
     let mut rng = ChaCha8Rng::seed_from_u64(54);
-    let updates: Vec<(u32, u32)> = (0..k)
+    let edges = grid_edges(side, &mut rng);
+    let num_nodes = (side * side) as usize;
+    let mut mst = IncrementalMst::new(num_nodes, &edges);
+    let mut weights: Vec<u32> = edges.iter().map(|e| e.2).collect();
+
+    // Every call redraws CHANGES edge weights to a different value, then
+    // applies the snapshot: one full Kruskal pass plus re-rooting.
+    let changes: Vec<u32> = (0..CHANGES)
+        .map(|_| rng.gen_range(0..edges.len() as u32))
+        .collect();
+    let mut round = 0u32;
+    time_calls(
+        &format!("set_weights_{side}x{side}_{CHANGES}_changed"),
+        samples,
+        || {
+            round += 1;
+            for &e in &changes {
+                let w = &mut weights[e as usize];
+                *w = (*w + 1 + round % 99) % 100;
+            }
+            mst.set_weights(&weights)
+        },
+    );
+
+    let pairs: Vec<(u32, u32)> = (0..QUERIES)
         .map(|_| {
             (
-                rng.gen_range(0..edges.len() as u32),
-                rng.gen_range(0..100u32),
+                rng.gen_range(0..num_nodes as u32),
+                rng.gen_range(0..num_nodes as u32),
             )
         })
         .collect();
-    c.bench_function(&format!("mst_incremental_{side}x{side}_k{k}"), |b| {
-        b.iter_batched(
-            || mst.clone(),
-            |mut m| {
-                for &(e, w) in &updates {
-                    m.update_weight(e, w);
-                }
-                m
-            },
-            BatchSize::LargeInput,
-        )
-    });
+    let mut path = Vec::with_capacity(num_nodes);
+    time_calls(
+        &format!("tree_path_into_{side}x{side}_x{QUERIES}"),
+        samples,
+        || {
+            let mut nodes = 0;
+            for &(a, b) in &pairs {
+                mst.tree_path_into(a, b, &mut path);
+                nodes += path.len();
+            }
+            nodes
+        },
+    );
 }
 
-fn bench_rebuild(c: &mut Criterion, side: u32) {
-    let edges = grid_edges(side, side);
-    c.bench_function(&format!("mst_full_kruskal_{side}x{side}"), |b| {
-        b.iter(|| IncrementalMst::new((side * side) as usize, &edges))
-    });
-}
-
-fn benches(c: &mut Criterion) {
-    // The paper's two measurement points at k = 200.
-    bench_updates(c, 100, 200);
-    bench_rebuild(c, 100);
-    if std::env::var("RESCQ_BENCH_FULL").is_ok() {
-        bench_updates(c, 1000, 200);
-        bench_rebuild(c, 1000);
+fn main() {
+    print_header(
+        "MST micro-benchmark — batch Kruskal rebuild and rooted-tree paths",
+        "paper §5.4.1 per-edge scheme: ~92 us / k=200 batch at 100x100, ~330 us at 1000x1000",
+    );
+    // A fabric-sized grid (420-qubit benchmark ⇒ ~36×36 ancilla network)
+    // and the paper's two measurement points.
+    bench_grid(36, 20);
+    bench_grid(100, 10);
+    if bench_scale() == BenchScale::Full {
+        bench_grid(1000, 10);
     }
-    // A fabric-sized grid (420-qubit benchmark ⇒ ~36×36 ancilla network).
-    bench_updates(c, 36, 200);
 }
-
-criterion_group! {
-    name = mst;
-    config = Criterion::default().sample_size(10);
-    targets = benches
-}
-criterion_main!(mst);

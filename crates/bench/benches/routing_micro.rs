@@ -1,7 +1,7 @@
 //! §5.4.2 micro-benchmark: Algorithm-1 path selection with the per-MST
 //! path cache (amortized O(1) per CNOT), plus ancilla-queue operations.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use rescq_bench::{print_header, time_calls};
 use rescq_circuit::{Angle, QubitId};
 use rescq_core::{
     plan_cnot_route, AncillaQueue, PathCache, QueueEntry, Role, SurgeryCosts, TaskId,
@@ -16,69 +16,62 @@ fn setup(n: u32) -> (Layout, AncillaGraph, IncrementalMst) {
     (layout, graph, mst)
 }
 
-fn benches(c: &mut Criterion) {
+const SAMPLES: usize = 20;
+
+fn main() {
+    print_header(
+        "Routing micro-benchmark — Algorithm 1 and ancilla queues",
+        "100-qubit Star2x2 fabric, CNOT q3 -> q87",
+    );
     let (layout, graph, mst) = setup(100);
     let orientations = vec![Orientation::Standard; 100];
     let costs = SurgeryCosts::default();
 
-    c.bench_function("algorithm1_cold_cache", |b| {
-        b.iter(|| {
-            let mut cache = PathCache::new();
-            plan_cnot_route(
-                &layout,
-                &graph,
-                &mst,
-                0,
-                &mut cache,
-                QubitId(3),
-                QubitId(87),
-                &orientations,
-                &costs,
-                7,
-                |_| 0,
-            )
-        })
+    time_calls("algorithm1_cold_cache", SAMPLES, || {
+        let mut cache = PathCache::new();
+        plan_cnot_route(
+            &layout,
+            &graph,
+            &mst,
+            0,
+            &mut cache,
+            QubitId(3),
+            QubitId(87),
+            &orientations,
+            &costs,
+            7,
+            |_| 0,
+        )
     });
 
     let mut cache = PathCache::new();
-    c.bench_function("algorithm1_warm_cache", |b| {
-        b.iter(|| {
-            plan_cnot_route(
-                &layout,
-                &graph,
-                &mst,
-                0,
-                &mut cache,
-                QubitId(3),
-                QubitId(87),
-                &orientations,
-                &costs,
-                7,
-                |_| 0,
-            )
-        })
+    time_calls("algorithm1_warm_cache", SAMPLES, || {
+        plan_cnot_route(
+            &layout,
+            &graph,
+            &mst,
+            0,
+            &mut cache,
+            QubitId(3),
+            QubitId(87),
+            &orientations,
+            &costs,
+            7,
+            |_| 0,
+        )
     });
 
-    c.bench_function("queue_push_update_remove", |b| {
-        b.iter(|| {
-            let mut q = AncillaQueue::new();
-            for i in 0..16u32 {
-                q.push(QueueEntry::new(TaskId(i), Role::PrepZz, Angle::T));
-            }
-            for i in 0..16u32 {
-                q.update_angle(TaskId(i), Angle::S);
-            }
-            for i in 0..16u32 {
-                q.remove_task(TaskId(i));
-            }
-            q
-        })
+    time_calls("queue_push_update_remove", SAMPLES, || {
+        let mut q = AncillaQueue::new();
+        for i in 0..16u32 {
+            q.push(QueueEntry::new(TaskId(i), Role::PrepZz, Angle::T));
+        }
+        for i in 0..16u32 {
+            q.update_angle(TaskId(i), Angle::S);
+        }
+        for i in 0..16u32 {
+            q.remove_task(TaskId(i));
+        }
+        q
     });
 }
-
-criterion_group! {
-    name = routing;
-    config = Criterion::default().sample_size(20);
-    targets = benches
-}
-criterion_main!(routing);

@@ -1,6 +1,8 @@
 //! Formatting and sizing helpers shared by the experiment benches.
 
 use std::fmt::Display;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 /// How large an experiment to run.
 ///
@@ -49,6 +51,23 @@ pub fn print_row(label: &str, cols: &[(&str, &dyn Display)]) {
         print!("  {name}={value}");
     }
     println!();
+}
+
+/// Times `routine` over `samples` calls after one untimed warm-up call and
+/// prints one aligned row with the mean and minimum time per call.
+pub fn time_calls<O>(label: &str, samples: usize, mut routine: impl FnMut() -> O) {
+    black_box(routine());
+    let mut total = Duration::ZERO;
+    let mut min = Duration::MAX;
+    for _ in 0..samples.max(1) {
+        let start = Instant::now();
+        black_box(routine());
+        let t = start.elapsed();
+        total += t;
+        min = min.min(t);
+    }
+    let mean = total / samples.max(1) as u32;
+    println!("{label:<44} mean {mean:>12.2?}   min {min:>12.2?}   ({samples} samples)");
 }
 
 #[cfg(test)]

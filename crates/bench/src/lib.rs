@@ -11,4 +11,4 @@
 pub mod experiments;
 pub mod harness;
 
-pub use harness::{bench_scale, print_header, print_row, BenchScale};
+pub use harness::{bench_scale, print_header, print_row, time_calls, BenchScale};

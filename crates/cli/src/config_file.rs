@@ -73,8 +73,7 @@ fn err(line: usize, message: impl Into<String>) -> ConfigError {
 }
 
 /// Parses the config text into a [`RunSpec`]. Unknown keys are errors so
-/// typos surface immediately. The retired `engine_threads` key is still
-/// accepted and ignored, with a warning on stderr.
+/// typos surface immediately.
 pub fn parse_config(text: &str) -> Result<RunSpec, ConfigError> {
     let mut spec = RunSpec::default();
     for (idx, raw) in text.lines().enumerate() {
@@ -120,10 +119,6 @@ pub fn parse_config(text: &str) -> Result<RunSpec, ConfigError> {
             "seeds" | "number_of_runs" => spec.seeds = parse_u64(value)?.max(1),
             "base_seed" | "seed" => spec.base_seed = parse_u64(value)?,
             "max_cycles" => spec.config.max_cycles = parse_u64(value)?,
-            "engine_threads" => eprintln!(
-                "warning: config line {lineno}: `engine_threads` is ignored: the engine is \
-                 single-threaded, and as a sweep axis it no longer multiplies jobs"
-            ),
             "priority_classes" => {
                 spec.config.priority_classes =
                     ClassLattice::parse_setting(value).map_err(|e| err(lineno, e))?;
@@ -277,16 +272,15 @@ base_seed = 7
     }
 
     #[test]
-    fn retired_engine_threads_key_is_ignored() {
-        // Configs written before the engine became single-threaded still
-        // parse, to the same spec as without the key.
+    fn engine_threads_key_is_an_unknown_key_error() {
+        // The engine is single-threaded; the old key is a typo like any other.
         let base = "benchmark = ising_n34\nseeds = 2\n";
-        let without = parse_config(base).unwrap();
         for value in ["1", "4", "0"] {
-            let with = parse_config(&format!("{base}engine_threads = {value}\n")).unwrap();
-            assert_eq!(with, without, "engine_threads = {value}");
+            let e = parse_config(&format!("{base}engine_threads = {value}\n")).unwrap_err();
+            assert_eq!(e.line, 3, "engine_threads = {value}");
+            assert!(e.message.contains("unknown key `engine_threads`"), "{e}");
         }
-        assert!(!write_config(&without).contains("engine_threads"));
+        assert!(!write_config(&parse_config(base).unwrap()).contains("engine_threads"));
     }
 
     #[test]

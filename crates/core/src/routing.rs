@@ -5,8 +5,10 @@
 //! candidates — connect each pair along the activity-weighted MST, charge
 //! 3-cycle edge rotations when the touched side does not expose the required
 //! boundary, estimate the start time from the per-ancilla expected free
-//! times, and pick the earliest-finishing plan. Tree paths are cached per MST
-//! generation (§5.4.2's `O(1)` amortized claim).
+//! times, and pick the earliest-finishing plan. Tree paths are read from the
+//! rooted MST in `O(path length)`; the [`PathCache`] stamps each endpoint
+//! pair with the MST generation it was last looked up at, so its hit/miss
+//! counters measure §5.4.2's per-generation path reuse exactly.
 //!
 //! [`plan_static_route`] is the baselines' routing: BFS shortest path over
 //! currently-free ancillas from the control's Z-edge neighbours to the
@@ -24,7 +26,6 @@ use crate::SurgeryCosts;
 use rescq_circuit::QubitId;
 use rescq_lattice::{
     AncillaGraph, AncillaIndex, DataAdjacency, EdgeType, IncrementalMst, Layout, Orientation,
-    TreePathScratch,
 };
 use std::collections::HashMap;
 
@@ -81,25 +82,19 @@ impl RoutePlanMeta {
     }
 }
 
-/// A cached MST tree path. Slots are kept forever and refilled *in place*
-/// when the MST generation moves past their stamp, so steady-state lookups
-/// never touch the allocator (the map's key set plateaus at the set of
-/// endpoint pairs the circuit ever routes between).
-#[derive(Debug)]
-struct TreeSlot {
-    generation: u64,
-    has_path: bool,
-    path: Vec<AncillaIndex>,
-}
-
-/// Cache of MST tree paths, stamped per entry with the MST generation that
-/// produced them (§5.4.2), plus a permanent cache of geometric shortest
-/// paths (pure functions of the static graph).
+/// Per-generation bookkeeping for MST tree-path lookups (§5.4.2), plus a
+/// permanent cache of geometric shortest paths (pure functions of the static
+/// graph).
+///
+/// A tree path costs `O(path length)` to read from the rooted MST, no more
+/// than copying a stored one, so only a generation stamp is kept per
+/// endpoint pair: a lookup is a *hit* when the pair was already looked up
+/// under the current MST generation and a *miss* otherwise. The map's key
+/// set plateaus at the endpoint pairs the circuit routes between.
 #[derive(Debug, Default)]
 pub struct PathCache {
-    paths: HashMap<(AncillaIndex, AncillaIndex), TreeSlot>,
+    stamps: HashMap<(AncillaIndex, AncillaIndex), u64>,
     geo_paths: HashMap<(AncillaIndex, AncillaIndex), Option<Vec<AncillaIndex>>>,
-    bfs: TreePathScratch,
     hits: u64,
     misses: u64,
 }
@@ -120,9 +115,9 @@ impl PathCache {
         self.misses
     }
 
-    /// Copies the tree path from `a` to `b` (inclusive, oriented to start at
-    /// `a`) into `out` and returns whether one exists. Stale slots are
-    /// refilled in place rather than dropped.
+    /// Counts the lookup of the pair `{a, b}` under `generation`, then
+    /// writes the tree path from `a` to `b` (inclusive, oriented to start
+    /// at `a`) into `out` and returns whether one exists.
     fn get_into(
         &mut self,
         mst: &IncrementalMst,
@@ -132,32 +127,12 @@ impl PathCache {
         out: &mut Vec<AncillaIndex>,
     ) -> bool {
         let key = if a <= b { (a, b) } else { (b, a) };
-        let slot = self.paths.entry(key).or_insert_with(|| TreeSlot {
-            // Deliberately stale stamp: forces the refill branch below.
-            generation: generation.wrapping_add(1),
-            has_path: false,
-            // A tree path visits each node at most once, so this capacity
-            // is never outgrown: refills after MST reshapes (which change
-            // the path and can lengthen it) stay allocation-free.
-            path: Vec::with_capacity(mst.num_nodes()),
-        });
-        if slot.generation == generation {
+        if self.stamps.insert(key, generation) == Some(generation) {
             self.hits += 1;
         } else {
             self.misses += 1;
-            slot.has_path = mst.tree_path_into(key.0, key.1, &mut self.bfs, &mut slot.path);
-            slot.generation = generation;
         }
-        if !slot.has_path {
-            return false;
-        }
-        out.clear();
-        if slot.path.first() == Some(&a) {
-            out.extend_from_slice(&slot.path);
-        } else {
-            out.extend(slot.path.iter().rev().copied());
-        }
-        true
+        mst.tree_path_into(a, b, out)
     }
 
     /// Copies the geometric shortest path between two ancillas (oriented to
@@ -249,8 +224,8 @@ pub fn plan_cnot_route(
 /// first; left cleared when no route exists) and returning its metadata.
 /// The endpoint adjacencies (`c_adj`, `t_adj`) are passed in — the engine
 /// precomputes them per qubit — and candidate paths stage through `scratch`,
-/// so a steady-state call performs no heap allocation once cache slots and
-/// buffer capacities have plateaued.
+/// so a steady-state call performs no heap allocation once the cache's key
+/// set and buffer capacities have plateaued.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_cnot_route_into(
     graph: &AncillaGraph,
@@ -293,7 +268,7 @@ pub fn plan_cnot_route_into(
                 start = start.max(expected_free(a_t) + rot_rounds);
             }
             // Two path candidates per endpoint pair: the activity-weighted
-            // MST tree path (cheap, precomputed) and the geometric shortest
+            // MST tree path (an O(path) climb) and the geometric shortest
             // path. On sparse compressed grids tree paths degenerate into
             // long detours whose ancillas rarely all free up together;
             // Algorithm 1 picks whichever candidate finishes first.
@@ -555,6 +530,39 @@ mod tests {
             );
         }
         assert!(cache.hits() > 0, "repeated queries should hit the cache");
+    }
+
+    #[test]
+    fn path_cache_counts_one_miss_per_pair_and_generation() {
+        let (layout, graph, mst) = setup(9);
+        let orientations = vec![Orientation::Standard; 9];
+        let mut cache = PathCache::new();
+        let plan = |cache: &mut PathCache, generation| {
+            plan_cnot_route(
+                &layout,
+                &graph,
+                &mst,
+                generation,
+                cache,
+                QubitId(0),
+                QubitId(8),
+                &orientations,
+                &SurgeryCosts::default(),
+                7,
+                |_| 0,
+            )
+            .expect("route exists")
+        };
+        let first = plan(&mut cache, 0);
+        let pairs = cache.misses();
+        assert!(pairs > 0);
+        assert_eq!(cache.hits(), 0);
+        // Same generation: every pair hits, and the route is unchanged.
+        assert_eq!(plan(&mut cache, 0), first);
+        assert_eq!((cache.hits(), cache.misses()), (pairs, pairs));
+        // A new MST generation makes every pair miss once more.
+        assert_eq!(plan(&mut cache, 1), first);
+        assert_eq!((cache.hits(), cache.misses()), (pairs, 2 * pairs));
     }
 
     #[test]

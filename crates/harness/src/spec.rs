@@ -370,9 +370,7 @@ impl SweepSpec {
     /// | `decode_prep` | bool | `false` |
     /// | `max_cycles` | integer | engine default |
     ///
-    /// Unknown keys are errors so typos surface immediately. The retired
-    /// `engine_threads` key is still accepted and ignored, with a warning
-    /// on stderr.
+    /// Unknown keys are errors so typos surface immediately.
     ///
     /// # Errors
     ///
@@ -449,10 +447,6 @@ impl SweepSpec {
                         })
                         .collect::<Result<_, _>>()?;
                 }
-                "engine_threads" => eprintln!(
-                    "warning: spec line {lineno}: `engine_threads` is ignored: the engine is \
-                     single-threaded, and as a sweep axis it no longer multiplies jobs"
-                ),
                 "priority_classes" => {
                     spec.priority = values
                         .iter()
@@ -652,17 +646,13 @@ max_cycles   = 500000
     }
 
     #[test]
-    fn retired_engine_threads_key_is_ignored() {
-        // Specs written before the engine became single-threaded still
-        // parse: the key changes neither the spec nor the job list.
+    fn engine_threads_key_is_an_unknown_key_error() {
+        // The engine is single-threaded; the old axis is a typo like any
+        // other key.
         let base = "workloads = [\"dnn_n16\"]\nseeds = 2\n";
-        let without = SweepSpec::parse(base).unwrap();
-        let with = SweepSpec::parse(&format!("{base}engine_threads = [1, 4]\n")).unwrap();
-        assert_eq!(with, without);
-        assert_eq!(with.num_points(), 1);
-        let jobs = |s: &SweepSpec| format!("{:?}", s.expand());
-        assert_eq!(jobs(&with), jobs(&without));
-        assert_eq!(with.expand().len(), 2);
+        let e = SweepSpec::parse(&format!("{base}engine_threads = [1, 4]\n")).unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("unknown key `engine_threads`"), "{e}");
     }
 
     #[test]

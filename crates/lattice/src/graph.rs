@@ -20,6 +20,14 @@ impl UnionFind {
         }
     }
 
+    /// Returns every element to its own singleton set, keeping the buffers.
+    pub fn reset(&mut self) {
+        for (i, p) in self.parent.iter_mut().enumerate() {
+            *p = i as u32;
+        }
+        self.rank.fill(0);
+    }
+
     /// Representative of `x`'s set.
     pub fn find(&mut self, x: u32) -> u32 {
         let mut root = x;
@@ -263,6 +271,9 @@ mod tests {
         uf.union(2, 3);
         uf.union(0, 3);
         assert!(uf.connected(1, 2));
+        uf.reset();
+        assert!((0..4).all(|i| uf.find(i) == i));
+        assert!(uf.union(1, 2));
     }
 
     #[test]

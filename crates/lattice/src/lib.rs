@@ -3,8 +3,8 @@
 //! The surface-code fabric substrate for the RESCQ reproduction: tiles with
 //! X/Z boundary orientation ([`Orientation`]), the rectangular [`Grid`], STAR-block
 //! [`Layout`]s with §5.3's seeded grid compression, the ancilla routing
-//! [`AncillaGraph`], and the incrementally-maintained [`IncrementalMst`]
-//! (paper §4.2 / §5.4.1).
+//! [`AncillaGraph`], and the activity-weighted [`IncrementalMst`] with
+//! rooted-tree path queries (paper §4.2 / §5.4.1).
 //!
 //! # Quick example
 //!
@@ -34,5 +34,5 @@ mod tile;
 pub use graph::{ancilla_network_connected, AncillaGraph, AncillaIndex, UnionFind};
 pub use grid::Grid;
 pub use layout::{DataAdjacency, Layout, LayoutError, LayoutKind};
-pub use mst::{EdgeId, IncrementalMst, NodeId, TreePathScratch};
+pub use mst::{EdgeId, IncrementalMst, NodeId};
 pub use tile::{Corner, EdgeType, Orientation, Side, TileId, TileKind};

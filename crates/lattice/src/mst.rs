@@ -1,23 +1,27 @@
-//! Minimum spanning tree with the paper's incremental edge-weight updates
-//! (§4.2, §5.4.1).
+//! Minimum spanning tree of the activity-weighted ancilla graph (§4.2,
+//! §5.4.1).
 //!
 //! RESCQ routes CNOTs along the MST of the ancilla graph weighted by recent
 //! *activity*: the minimax-path property of MSTs guarantees the tree contains,
 //! for every node pair, the path minimizing the maximum edge weight — i.e. the
-//! path whose busiest ancilla was least busy (§4.2). Because activities change
-//! every cycle, §5.4.1 maintains the tree incrementally; only two of the four
-//! weight-update cases require structural work:
+//! path whose busiest ancilla was least busy (§4.2).
 //!
-//! 1. a **non-tree** edge's weight **decreases** → insert it, evict the
-//!    heaviest edge of the created cycle;
-//! 2. a **tree** edge's weight **increases** → remove it, reconnect the two
-//!    components with the lightest crossing edge.
+//! §5.4.1 keeps the tree current with four per-edge update cases (a cheaper
+//! non-tree edge evicts the heaviest edge of its cycle; a heavier tree edge is
+//! replaced by the lightest crossing edge; the other two cases are no-ops).
+//! That is what a hardware controller runs to bound the classical latency τ.
+//! The simulator charges τ through `rescq_core::TauModel` instead, so it may
+//! build the tree any way that yields the same one: ties are broken by edge
+//! id, which makes the tree the *unique* minimum spanning forest under the
+//! `(weight, id)` total order, and [`IncrementalMst::set_weights`] recomputes
+//! it with one batch Kruskal pass per weight snapshot — the same edge set the
+//! per-edge cases would reach, property-tested in this module.
 //!
-//! Ties are broken by edge id so the tree equals the unique Kruskal MST under
-//! the `(weight, id)` total order — property-tested in this module.
+//! The forest is also kept in rooted form (parent, depth and component root
+//! per node), so a tree-path query climbs from both endpoints to their lowest
+//! common ancestor in `O(path length)` instead of searching the fabric.
 
 use crate::graph::UnionFind;
-use std::collections::VecDeque;
 
 /// Identifier of an edge within an [`IncrementalMst`] (its index in the edge
 /// list passed at construction).
@@ -26,6 +30,9 @@ pub type EdgeId = u32;
 /// Dense node index (matches [`crate::AncillaGraph`] indices).
 pub type NodeId = u32;
 
+/// Marks a node the rooting pass has not reached yet.
+const UNVISITED: NodeId = NodeId::MAX;
+
 #[derive(Debug, Clone, Copy)]
 struct Edge {
     a: NodeId,
@@ -33,19 +40,13 @@ struct Edge {
     weight: u32,
 }
 
-/// Reusable BFS working set for [`IncrementalMst::tree_path_into`]. Holding
-/// one of these across queries keeps repeated path lookups allocation-free
-/// once its capacity has plateaued at the node count.
-#[derive(Debug, Default, Clone)]
-pub struct TreePathScratch {
-    prev: Vec<u32>,
-    queue: VecDeque<NodeId>,
-}
-
-/// A dynamically maintained minimum spanning forest over a fixed edge set.
+/// The minimum spanning forest of a fixed edge set under changing weights.
 ///
-/// Construction runs Kruskal; [`IncrementalMst::update_weight`] applies the
-/// §5.4.1 cases. On a connected graph the structure is a spanning tree.
+/// Construction and every [`IncrementalMst::set_weights`] batch that changes
+/// a weight run Kruskal with `(weight, id)` tie-breaking, so the forest is
+/// always the unique minimum one for the current weights. On a connected
+/// graph it is a spanning tree. All working buffers (sort keys, union-find,
+/// rooting queue) live in the struct, so rebuilds allocate nothing.
 ///
 /// # Example
 ///
@@ -58,28 +59,34 @@ pub struct TreePathScratch {
 /// assert!(!mst.contains_edge(0)); // the weight-5 edge is excluded
 ///
 /// // Its weight drops below the others: it enters, evicting the heaviest
-/// // cycle edge.
-/// mst.update_weight(0, 0);
+/// // cycle edge (the tie among weight-1 edges goes to the highest id).
+/// assert_eq!(mst.set_weights(&[0, 1, 1, 1]), 1);
 /// assert!(mst.contains_edge(0));
+/// assert!(!mst.contains_edge(3));
 /// assert_eq!(mst.total_weight(), 2);
+/// assert_eq!(mst.tree_path(0, 3), Some(vec![0, 1, 2, 3]));
 /// ```
 #[derive(Debug, Clone)]
 pub struct IncrementalMst {
     num_nodes: usize,
     edges: Vec<Edge>,
     in_tree: Vec<bool>,
-    /// Tree adjacency: `(neighbor, edge id)`.
-    tree_adj: Vec<Vec<(NodeId, EdgeId)>>,
-    /// Reusable working set for [`Self::update_weight`]'s cycle query (case
-    /// 1) — per-cycle weight updates must not hit the allocator once warm.
-    upd_scratch: TreePathScratch,
-    /// Path-node buffer paired with `upd_scratch`.
-    upd_path: Vec<NodeId>,
-    /// Reusable reachability marks for [`Self::update_weight`]'s reconnect
-    /// search (case 2).
-    upd_seen: Vec<bool>,
-    /// BFS queue paired with `upd_seen`.
-    upd_queue: VecDeque<NodeId>,
+    /// Incidence lists of the whole graph in compressed form: node `u`'s
+    /// `(neighbor, edge id)` pairs are `adj[adj_start[u]..adj_start[u + 1]]`.
+    adj_start: Vec<u32>,
+    adj: Vec<(NodeId, EdgeId)>,
+    /// Rooted form: each node's tree parent (a root is its own parent), the
+    /// edge to that parent, its depth below the root, and the root itself.
+    parent: Vec<NodeId>,
+    parent_edge: Vec<EdgeId>,
+    depth: Vec<u32>,
+    root: Vec<NodeId>,
+    /// Kruskal scratch: packed `(weight << 32) | id` sort keys and the
+    /// union-find, reset in place on every rebuild.
+    order: Vec<u64>,
+    uf: UnionFind,
+    /// Rooting BFS queue (a plain vector read from a moving head).
+    queue: Vec<NodeId>,
 }
 
 impl IncrementalMst {
@@ -97,57 +104,111 @@ impl IncrementalMst {
                 Edge { a, b, weight }
             })
             .collect();
+        let mut adj_start = vec![0u32; num_nodes + 1];
+        for e in &edges {
+            adj_start[e.a as usize + 1] += 1;
+            adj_start[e.b as usize + 1] += 1;
+        }
+        for u in 0..num_nodes {
+            adj_start[u + 1] += adj_start[u];
+        }
+        let mut fill = adj_start.clone();
+        let mut adj = vec![(0, 0); 2 * edges.len()];
+        for (id, e) in edges.iter().enumerate() {
+            for (u, v) in [(e.a, e.b), (e.b, e.a)] {
+                adj[fill[u as usize] as usize] = (v, id as EdgeId);
+                fill[u as usize] += 1;
+            }
+        }
         let mut mst = IncrementalMst {
             num_nodes,
             in_tree: vec![false; edges.len()],
-            tree_adj: vec![Vec::new(); num_nodes],
+            order: Vec::with_capacity(edges.len()),
             edges,
-            upd_scratch: TreePathScratch::default(),
-            upd_path: Vec::new(),
-            upd_seen: vec![false; num_nodes],
-            upd_queue: VecDeque::new(),
+            adj_start,
+            adj,
+            parent: vec![0; num_nodes],
+            parent_edge: vec![0; num_nodes],
+            depth: vec![0; num_nodes],
+            root: vec![UNVISITED; num_nodes],
+            uf: UnionFind::new(num_nodes),
+            queue: Vec::with_capacity(num_nodes),
         };
         mst.rebuild();
         mst
     }
 
-    /// Recomputes the tree from scratch (Kruskal). Exposed for benchmarking
-    /// against the incremental path.
-    pub fn rebuild(&mut self) {
-        for v in &mut self.in_tree {
-            *v = false;
+    /// Recomputes the forest (Kruskal) and its rooted form from the stored
+    /// weights, reusing every held buffer.
+    fn rebuild(&mut self) {
+        self.order.clear();
+        self.order.extend(
+            self.edges
+                .iter()
+                .enumerate()
+                .map(|(id, e)| (u64::from(e.weight) << 32) | id as u64),
+        );
+        self.order.sort_unstable();
+        self.uf.reset();
+        self.in_tree.fill(false);
+        for &key in &self.order {
+            let id = key as u32 as usize;
+            let e = self.edges[id];
+            if self.uf.union(e.a, e.b) {
+                self.in_tree[id] = true;
+            }
         }
-        for adj in &mut self.tree_adj {
-            adj.clear();
-        }
-        let mut order: Vec<u32> = (0..self.edges.len() as u32).collect();
-        order.sort_by_key(|&i| (self.edges[i as usize].weight, i));
-        let mut uf = UnionFind::new(self.num_nodes);
-        for id in order {
-            let e = self.edges[id as usize];
-            if uf.union(e.a, e.b) {
-                self.link(id);
+
+        // Root each component at its smallest node by BFS over tree edges.
+        self.root.fill(UNVISITED);
+        for start in 0..self.num_nodes as NodeId {
+            if self.root[start as usize] != UNVISITED {
+                continue;
+            }
+            self.root[start as usize] = start;
+            self.parent[start as usize] = start;
+            self.depth[start as usize] = 0;
+            self.queue.clear();
+            self.queue.push(start);
+            let mut head = 0;
+            while let Some(&u) = self.queue.get(head) {
+                head += 1;
+                let span =
+                    self.adj_start[u as usize] as usize..self.adj_start[u as usize + 1] as usize;
+                for &(v, id) in &self.adj[span] {
+                    if self.in_tree[id as usize] && self.root[v as usize] == UNVISITED {
+                        self.root[v as usize] = start;
+                        self.parent[v as usize] = u;
+                        self.parent_edge[v as usize] = id;
+                        self.depth[v as usize] = self.depth[u as usize] + 1;
+                        self.queue.push(v);
+                    }
+                }
             }
         }
     }
 
-    fn link(&mut self, id: EdgeId) {
-        let e = self.edges[id as usize];
-        self.in_tree[id as usize] = true;
-        self.tree_adj[e.a as usize].push((e.b, id));
-        self.tree_adj[e.b as usize].push((e.a, id));
-    }
-
-    fn unlink(&mut self, id: EdgeId) {
-        let e = self.edges[id as usize];
-        self.in_tree[id as usize] = false;
-        self.tree_adj[e.a as usize].retain(|&(_, eid)| eid != id);
-        self.tree_adj[e.b as usize].retain(|&(_, eid)| eid != id);
-    }
-
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
+    /// Stores a full weight snapshot (`weights[id]` for every edge id) and
+    /// returns how many weights changed. When any did, the forest is rebuilt
+    /// in one Kruskal pass; the result is the same forest that applying the
+    /// changes one by one with §5.4.1's update cases would reach.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights.len()` differs from the edge count.
+    pub fn set_weights(&mut self, weights: &[u32]) -> u64 {
+        assert_eq!(weights.len(), self.edges.len(), "one weight per edge");
+        let mut changed = 0;
+        for (e, &w) in self.edges.iter_mut().zip(weights) {
+            if e.weight != w {
+                e.weight = w;
+                changed += 1;
+            }
+        }
+        if changed > 0 {
+            self.rebuild();
+        }
+        changed
     }
 
     /// Number of edges in the underlying graph.
@@ -158,11 +219,6 @@ impl IncrementalMst {
     /// Whether edge `id` is currently in the tree.
     pub fn contains_edge(&self, id: EdgeId) -> bool {
         self.in_tree[id as usize]
-    }
-
-    /// Current weight of edge `id`.
-    pub fn weight(&self, id: EdgeId) -> u32 {
-        self.edges[id as usize].weight
     }
 
     /// Endpoints of edge `id`.
@@ -186,161 +242,70 @@ impl IncrementalMst {
         self.in_tree.iter().filter(|&&t| t).count()
     }
 
-    /// Updates edge `id` to `new_weight`, restructuring per §5.4.1.
-    ///
-    /// Only two cases do structural work; the other two just store the
-    /// weight. Amortized cost on grid graphs is `O(path length)`.
-    pub fn update_weight(&mut self, id: EdgeId, new_weight: u32) {
-        let old = self.edges[id as usize].weight;
-        self.edges[id as usize].weight = new_weight;
-        if new_weight < old && !self.in_tree[id as usize] {
-            // Case 1: cheaper non-tree edge. Insert and evict the heaviest
-            // edge on the tree path between its endpoints (the cycle). The
-            // path query runs through the held scratch — weight updates
-            // arrive every cycle, so this must not hit the allocator warm.
-            let e = self.edges[id as usize];
-            let mut scratch = std::mem::take(&mut self.upd_scratch);
-            let mut nodes = std::mem::take(&mut self.upd_path);
-            let connected = self.tree_path_into(e.a, e.b, &mut scratch, &mut nodes);
-            self.upd_scratch = scratch;
-            if !connected {
-                // Endpoints were in different components: the edge now joins
-                // them.
-                self.upd_path = nodes;
-                self.link(id);
-                return;
-            }
-            let mut worst: Option<(u32, EdgeId)> = None;
-            for pair in nodes.windows(2) {
-                let (u, v) = (pair[0], pair[1]);
-                let &(_, eid) = self.tree_adj[u as usize]
-                    .iter()
-                    .find(|&&(n, _)| n == v)
-                    .expect("consecutive path nodes are tree-adjacent");
-                let key = (self.edges[eid as usize].weight, eid);
-                if worst.is_none_or(|w| key > w) {
-                    worst = Some(key);
-                }
-            }
-            self.upd_path = nodes;
-            let worst_key = worst.expect("cycle has at least one edge");
-            if (new_weight, id) < worst_key {
-                self.unlink(worst_key.1);
-                self.link(id);
-            }
-        } else if new_weight > old && self.in_tree[id as usize] {
-            // Case 2: tree edge became heavier. Remove it and reconnect with
-            // the lightest crossing edge (possibly itself).
-            self.unlink(id);
-            let e = self.edges[id as usize];
-            self.mark_component(e.a);
-            let mut best: Option<(u32, EdgeId)> = Some((new_weight, id));
-            for (eid, edge) in self.edges.iter().enumerate() {
-                let eid = eid as EdgeId;
-                if self.in_tree[eid as usize] {
-                    continue;
-                }
-                if self.upd_seen[edge.a as usize] != self.upd_seen[edge.b as usize] {
-                    let key = (edge.weight, eid);
-                    if best.is_none_or(|b| key < b) {
-                        best = Some(key);
-                    }
-                }
-            }
-            if let Some((_, eid)) = best {
-                self.link(eid);
-            }
-        }
-    }
-
-    /// Marks nodes reachable from `start` using tree edges in
-    /// `self.upd_seen` (reset first; reused across calls).
-    fn mark_component(&mut self, start: NodeId) {
-        self.upd_seen.clear();
-        self.upd_seen.resize(self.num_nodes, false);
-        self.upd_queue.clear();
-        self.upd_seen[start as usize] = true;
-        self.upd_queue.push_back(start);
-        while let Some(u) = self.upd_queue.pop_front() {
-            for &(v, _) in &self.tree_adj[u as usize] {
-                if !self.upd_seen[v as usize] {
-                    self.upd_seen[v as usize] = true;
-                    self.upd_queue.push_back(v);
-                }
-            }
-        }
-    }
-
     /// The unique tree path between `a` and `b` as node ids (inclusive), or
     /// `None` if they are in different components.
     pub fn tree_path(&self, a: NodeId, b: NodeId) -> Option<Vec<NodeId>> {
-        let mut scratch = TreePathScratch::default();
         let mut out = Vec::new();
-        self.tree_path_into(a, b, &mut scratch, &mut out)
-            .then_some(out)
+        self.tree_path_into(a, b, &mut out).then_some(out)
     }
 
-    /// [`Self::tree_path`] into a caller-provided buffer: writes the path
-    /// into `out` (cleared first) and returns whether one exists. The BFS
-    /// working set lives in `scratch`, so repeated queries — e.g. path-cache
-    /// refills after an MST generation bump — allocate nothing once the
-    /// scratch capacity has plateaued.
-    pub fn tree_path_into(
-        &self,
-        a: NodeId,
-        b: NodeId,
-        scratch: &mut TreePathScratch,
-        out: &mut Vec<NodeId>,
-    ) -> bool {
+    /// [`Self::tree_path`] into a caller-provided buffer: writes the path,
+    /// oriented from `a`, into `out` (cleared first) and returns whether one
+    /// exists. Costs `O(path length)` and allocates nothing once `out` has
+    /// grown to the longest path.
+    pub fn tree_path_into(&self, a: NodeId, b: NodeId, out: &mut Vec<NodeId>) -> bool {
         out.clear();
-        if a == b {
-            out.push(a);
-            return true;
+        if self.root[a as usize] != self.root[b as usize] {
+            return false;
         }
-        // `prev` doubles as the seen-marker: `UNSEEN` = unvisited, `ROOT`
-        // marks the BFS source (node ids never reach either sentinel).
-        const UNSEEN: u32 = u32::MAX;
-        const ROOT: u32 = u32::MAX - 1;
-        scratch.prev.clear();
-        scratch.prev.resize(self.num_nodes, UNSEEN);
-        scratch.queue.clear();
-        scratch.prev[a as usize] = ROOT;
-        scratch.queue.push_back(a);
-        while let Some(u) = scratch.queue.pop_front() {
-            if u == b {
-                out.push(b);
-                let mut cur = b;
-                while scratch.prev[cur as usize] != ROOT {
-                    cur = scratch.prev[cur as usize];
-                    out.push(cur);
-                }
-                out.reverse();
-                return true;
-            }
-            for &(v, _) in &self.tree_adj[u as usize] {
-                if scratch.prev[v as usize] == UNSEEN {
-                    scratch.prev[v as usize] = u;
-                    scratch.queue.push_back(v);
-                }
-            }
+        // Climb the deeper endpoint, then both, to the lowest common
+        // ancestor.
+        let (mut u, mut v) = (a, b);
+        while self.depth[u as usize] > self.depth[v as usize] {
+            u = self.parent[u as usize];
         }
-        out.clear();
-        false
+        while self.depth[v as usize] > self.depth[u as usize] {
+            v = self.parent[v as usize];
+        }
+        while u != v {
+            u = self.parent[u as usize];
+            v = self.parent[v as usize];
+        }
+        let lca = u;
+        // `a` up to the ancestor, then `b` up to (excluding) it, reversed.
+        let mut x = a;
+        while x != lca {
+            out.push(x);
+            x = self.parent[x as usize];
+        }
+        out.push(lca);
+        let b_side = out.len();
+        let mut x = b;
+        while x != lca {
+            out.push(x);
+            x = self.parent[x as usize];
+        }
+        out[b_side..].reverse();
+        true
     }
 
     /// The edge ids along the tree path between `a` and `b`.
     pub fn tree_path_edges(&self, a: NodeId, b: NodeId) -> Option<Vec<EdgeId>> {
         let nodes = self.tree_path(a, b)?;
-        let mut out = Vec::with_capacity(nodes.len().saturating_sub(1));
-        for pair in nodes.windows(2) {
-            let (u, v) = (pair[0], pair[1]);
-            let &(_, eid) = self.tree_adj[u as usize]
-                .iter()
-                .find(|&&(n, _)| n == v)
-                .expect("consecutive path nodes are tree-adjacent");
-            out.push(eid);
-        }
-        Some(out)
+        Some(
+            nodes
+                .windows(2)
+                .map(|pair| {
+                    let (u, v) = (pair[0], pair[1]);
+                    // Consecutive path nodes are parent and child.
+                    if self.parent[u as usize] == v {
+                        self.parent_edge[u as usize]
+                    } else {
+                        self.parent_edge[v as usize]
+                    }
+                })
+                .collect(),
+        )
     }
 
     /// Maximum edge weight along the tree path (the minimax bottleneck).
@@ -359,6 +324,7 @@ impl IncrementalMst {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{BTreeSet, VecDeque};
 
     fn grid_edges(w: u32, h: u32) -> Vec<(NodeId, NodeId, u32)> {
         let mut edges = Vec::new();
@@ -374,6 +340,84 @@ mod tests {
             }
         }
         edges
+    }
+
+    fn tree_edges(mst: &IncrementalMst) -> BTreeSet<EdgeId> {
+        (0..mst.num_edges() as EdgeId)
+            .filter(|&id| mst.contains_edge(id))
+            .collect()
+    }
+
+    /// Textbook Kruskal: sort by `(weight, id)`, keep edges joining two sets.
+    fn reference_kruskal(num_nodes: usize, edges: &[(NodeId, NodeId, u32)]) -> BTreeSet<EdgeId> {
+        fn find(dsu: &mut [usize], mut x: usize) -> usize {
+            while dsu[x] != x {
+                x = dsu[x];
+            }
+            x
+        }
+        let mut ids: Vec<usize> = (0..edges.len()).collect();
+        ids.sort_by_key(|&id| (edges[id].2, id));
+        let mut dsu: Vec<usize> = (0..num_nodes).collect();
+        let mut tree = BTreeSet::new();
+        for id in ids {
+            let (ra, rb) = (
+                find(&mut dsu, edges[id].0 as usize),
+                find(&mut dsu, edges[id].1 as usize),
+            );
+            if ra != rb {
+                dsu[ra] = rb;
+                tree.insert(id as EdgeId);
+            }
+        }
+        tree
+    }
+
+    /// BFS from `a` over the `tree` edges, then walk the parents back from
+    /// `b` — the (unique) tree path, oriented from `a`.
+    fn reference_path(
+        num_nodes: usize,
+        edges: &[(NodeId, NodeId, u32)],
+        tree: &BTreeSet<EdgeId>,
+        a: NodeId,
+        b: NodeId,
+    ) -> Option<Vec<NodeId>> {
+        let mut prev = vec![None; num_nodes];
+        prev[a as usize] = Some(a);
+        let mut queue = VecDeque::from([a]);
+        while let Some(u) = queue.pop_front() {
+            for &id in tree {
+                let (x, y, _) = edges[id as usize];
+                let v = if x == u {
+                    y
+                } else if y == u {
+                    x
+                } else {
+                    continue;
+                };
+                if prev[v as usize].is_none() {
+                    prev[v as usize] = Some(u);
+                    queue.push_back(v);
+                }
+            }
+        }
+        prev[b as usize]?;
+        let mut path = vec![b];
+        let mut cur = b;
+        while cur != a {
+            cur = prev[cur as usize].expect("reached nodes have parents");
+            path.push(cur);
+        }
+        path.reverse();
+        Some(path)
+    }
+
+    /// A fixed pseudo-random stream (64-bit LCG, high bits).
+    fn lcg(state: &mut u64) -> u64 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *state >> 33
     }
 
     #[test]
@@ -394,8 +438,8 @@ mod tests {
         let mut mst = IncrementalMst::new(4, &edges);
         assert!(!mst.contains_edge(0));
         assert_eq!(mst.total_weight(), 3);
-        mst.update_weight(0, 0);
-        assert!(mst.contains_edge(0));
+        assert_eq!(mst.set_weights(&[0, 1, 1, 1]), 1);
+        assert_eq!(tree_edges(&mst), BTreeSet::from([0, 1, 2]));
         assert_eq!(mst.total_weight(), 2);
         assert_eq!(mst.tree_size(), 3);
     }
@@ -404,8 +448,8 @@ mod tests {
     fn case1_no_swap_when_still_heaviest() {
         let edges = vec![(0, 1, 10), (1, 2, 1), (2, 3, 1), (3, 0, 1)];
         let mut mst = IncrementalMst::new(4, &edges);
-        mst.update_weight(0, 5); // cheaper but still the worst
-        assert!(!mst.contains_edge(0));
+        mst.set_weights(&[5, 1, 1, 1]); // cheaper but still the worst
+        assert_eq!(tree_edges(&mst), BTreeSet::from([1, 2, 3]));
         assert_eq!(mst.total_weight(), 3);
     }
 
@@ -414,9 +458,9 @@ mod tests {
         let edges = vec![(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 5)];
         let mut mst = IncrementalMst::new(4, &edges);
         assert!(mst.contains_edge(1));
-        mst.update_weight(1, 100);
-        assert!(!mst.contains_edge(1));
-        assert!(mst.contains_edge(3)); // the weight-5 edge reconnects
+        mst.set_weights(&[1, 100, 1, 5]);
+        // The weight-5 edge reconnects.
+        assert_eq!(tree_edges(&mst), BTreeSet::from([0, 2, 3]));
         assert_eq!(mst.tree_size(), 3);
         assert_eq!(mst.total_weight(), 1 + 1 + 5);
     }
@@ -426,8 +470,8 @@ mod tests {
         // A path graph: removing any edge cannot be repaired.
         let edges = vec![(0, 1, 1), (1, 2, 1)];
         let mut mst = IncrementalMst::new(3, &edges);
-        mst.update_weight(0, 50);
-        assert!(mst.contains_edge(0));
+        mst.set_weights(&[50, 1]);
+        assert_eq!(tree_edges(&mst), BTreeSet::from([0, 1]));
         assert_eq!(mst.tree_size(), 2);
     }
 
@@ -435,11 +479,13 @@ mod tests {
     fn passive_cases_do_not_restructure() {
         let edges = vec![(0, 1, 10), (1, 2, 1), (2, 3, 1), (3, 0, 1)];
         let mut mst = IncrementalMst::new(4, &edges);
-        let before: Vec<bool> = (0..4).map(|i| mst.contains_edge(i)).collect();
-        mst.update_weight(1, 0); // tree edge decreases: case 3, no-op
-        mst.update_weight(0, 20); // non-tree edge increases: case 4, no-op
-        let after: Vec<bool> = (0..4).map(|i| mst.contains_edge(i)).collect();
-        assert_eq!(before, after);
+        let before = tree_edges(&mst);
+        // Tree edge 1 decreases (case 3), non-tree edge 0 increases (case 4).
+        assert_eq!(mst.set_weights(&[20, 0, 1, 1]), 2);
+        assert_eq!(tree_edges(&mst), before);
+        // An identical snapshot changes nothing.
+        assert_eq!(mst.set_weights(&[20, 0, 1, 1]), 0);
+        assert_eq!(tree_edges(&mst), before);
     }
 
     #[test]
@@ -452,26 +498,76 @@ mod tests {
     }
 
     #[test]
-    fn incremental_matches_fresh_kruskal_on_sequence() {
+    fn single_edge_snapshots_match_fresh_kruskal() {
         let mut edges = grid_edges(4, 4);
-        let mut inc = IncrementalMst::new(16, &edges);
-        // A fixed pseudo-random weight stream.
+        let mut mst = IncrementalMst::new(16, &edges);
+        let mut weights: Vec<u32> = edges.iter().map(|e| e.2).collect();
         let mut state = 0x12345678u64;
         for step in 0..200 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let eid = (state >> 33) as usize % edges.len();
-            let w = ((state >> 16) % 50) as u32;
+            let eid = lcg(&mut state) as usize % edges.len();
+            let w = (lcg(&mut state) % 50) as u32;
+            let changed = u64::from(weights[eid] != w);
+            weights[eid] = w;
             edges[eid].2 = w;
-            inc.update_weight(eid as u32, w);
+            assert_eq!(mst.set_weights(&weights), changed, "step {step}");
             let fresh = IncrementalMst::new(16, &edges);
             assert_eq!(
-                inc.total_weight(),
-                fresh.total_weight(),
+                tree_edges(&mst),
+                tree_edges(&fresh),
                 "diverged at step {step}"
             );
-            assert_eq!(inc.tree_size(), 15);
+            assert_eq!(mst.tree_size(), 15);
+        }
+    }
+
+    #[test]
+    fn set_weights_matches_reference_kruskal_and_paths_with_ties() {
+        // Grids of several shapes plus a two-component forest (a 3×3 grid
+        // next to a 2×4 grid, node ids offset past the first).
+        let mut forest = grid_edges(3, 3);
+        forest.extend(
+            grid_edges(2, 4)
+                .into_iter()
+                .map(|(a, b, w)| (a + 9, b + 9, w)),
+        );
+        let graphs = [
+            (1, grid_edges(1, 1)),
+            (6, grid_edges(2, 3)),
+            (16, grid_edges(4, 4)),
+            (35, grid_edges(5, 7)),
+            (17, forest),
+        ];
+        let mut state = 0xC0FFEEu64;
+        for (n, mut edges) in graphs {
+            let mut mst = IncrementalMst::new(n, &edges);
+            let mut out = Vec::new();
+            for batch in 0..40 {
+                // Weights in 0..4 make ties the rule, not the exception;
+                // every other batch redraws only about a quarter of them.
+                let mut changed = 0;
+                for e in &mut edges {
+                    if batch % 2 == 0 || lcg(&mut state).is_multiple_of(4) {
+                        let w = (lcg(&mut state) % 4) as u32;
+                        changed += u64::from(e.2 != w);
+                        e.2 = w;
+                    }
+                }
+                let weights: Vec<u32> = edges.iter().map(|e| e.2).collect();
+                assert_eq!(mst.set_weights(&weights), changed);
+                let reference = reference_kruskal(n, &edges);
+                assert_eq!(tree_edges(&mst), reference, "n={n} batch={batch}");
+                for a in 0..n as NodeId {
+                    for b in 0..n as NodeId {
+                        let want = reference_path(n, &edges, &reference, a, b);
+                        assert_eq!(mst.tree_path_into(a, b, &mut out), want.is_some());
+                        assert_eq!(
+                            want.unwrap_or_default(),
+                            out,
+                            "n={n} batch={batch} {a}->{b}"
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -484,6 +580,10 @@ mod tests {
         assert_eq!(mst.tree_path(4, 4).unwrap(), vec![4]);
         let pe = mst.tree_path_edges(0, 8).unwrap();
         assert_eq!(pe.len(), p.len() - 1);
+        for (pair, &id) in p.windows(2).zip(&pe) {
+            let (a, b) = mst.endpoints(id);
+            assert!((a, b) == (pair[0], pair[1]) || (b, a) == (pair[0], pair[1]));
+        }
     }
 
     #[test]
@@ -492,7 +592,9 @@ mod tests {
         let mut mst = IncrementalMst::new(4, &edges);
         assert_eq!(mst.tree_size(), 2);
         assert!(mst.tree_path(0, 3).is_none());
-        mst.update_weight(0, 5);
+        mst.set_weights(&[5, 1]);
         assert!(mst.contains_edge(0)); // no alternative: stays
+        assert!(mst.tree_path(0, 3).is_none());
+        assert_eq!(mst.tree_path(1, 0), Some(vec![1, 0]));
     }
 }

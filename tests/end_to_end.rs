@@ -108,11 +108,44 @@ fn constrained_ising_n420_matches_pre_incremental_golden() {
 }
 
 #[test]
-fn sharded_engine_matches_the_golden_on_every_thread_count() {
+fn uncompressed_mst_routing_matches_per_edge_update_golden() {
+    // The full fabric routes almost every CNOT along the MST tree, so these
+    // runs pin the tree itself: every recomputation's weight snapshot, the
+    // number of edge weights it changed and the tree paths read from it.
+    // Goldens recorded while the tree was still maintained by §5.4.1's
+    // per-edge update cases; the batch Kruskal rebuild must reproduce them.
+    // `[total_rounds, mst_computations, mst_incremental_updates,
+    // path_cache_hits, path_cache_misses]`.
+    let cases: [(&str, u64, [u64; 5]); 4] = [
+        ("qft_n18", 1, [3639, 20, 1173, 1876, 1866]),
+        ("qft_n18", 2, [3705, 20, 1176, 1747, 1995]),
+        ("qft_n18", 3, [3445, 19, 1108, 1828, 1914]),
+        ("qft_n160", 1, [36899, 210, 94135, 39350, 37386]),
+    ];
+    for (name, seed, want) in cases {
+        let circuit = rescq_repro::workloads::generate(name, 1).unwrap();
+        let config = SimConfig::builder().seed(seed).build();
+        let r = simulate(&circuit, &config).unwrap();
+        let c = &r.counters;
+        let got = [
+            r.total_rounds,
+            c.mst_computations,
+            c.mst_incremental_updates,
+            c.path_cache_hits,
+            c.path_cache_misses,
+        ];
+        assert_eq!(
+            got, want,
+            "{name} seed {seed}: [rounds, mst computations, mst updates, hits, misses]"
+        );
+    }
+}
+
+#[test]
+fn wstate_golden_holds_and_replays_identically() {
     // The engine's determinism contract pinned on a paper workload: the
     // historical golden round count, and a same-seed replay reproducing the
-    // full report. (The name predates the single-threaded engine; the
-    // 1-thread golden is the one that survived.)
+    // full report.
     let circuit = rescq_repro::workloads::generate("wstate_n27", 1).unwrap();
     let config = SimConfig::builder().seed(7).build();
     let reference = simulate(&circuit, &config).unwrap();

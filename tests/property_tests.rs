@@ -252,10 +252,9 @@ fn constrained_preemption_terminates_and_stays_acyclic() {
 /// `ReservationLedger::is_acyclic()` after every applied preemption, so
 /// these debug-profile runs abort on a violation), and a same-seed replay
 /// reproduces the full report — total rounds, latency histograms,
-/// RNG-dependent failure counts, every counter. (The name predates the
-/// single-threaded engine.)
+/// RNG-dependent failure counts, every counter.
 #[test]
-fn sharded_engine_is_thread_count_invariant() {
+fn engine_invariants_hold_across_the_corpus() {
     let mut cross_shard_activity = 0u64;
     let mut cross_shard_preemptions = 0u64;
     for case in 0..20u64 {
@@ -469,10 +468,9 @@ fn uniform_class_ledgers_reproduce_the_seed_arbitration() {
 /// (channel seed, tile, per-tile window index), all functions of the
 /// schedule — so a same-seed replay's report, decode-work counters
 /// included, is byte-identical. The corpus must provably exercise the real
-/// decoder (nonzero defects and growth steps). (The name predates the
-/// single-threaded engine.)
+/// decoder (nonzero defects and growth steps).
 #[test]
-fn union_find_decoder_is_thread_count_invariant() {
+fn union_find_decoder_replays_identically() {
     let mut decode_activity = 0u64;
     for case in 0..12u64 {
         let mut rng = ChaCha8Rng::seed_from_u64(0x0F1D_0000 ^ case);

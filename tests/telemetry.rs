@@ -125,12 +125,11 @@ fn analyze_run(circuit: &Circuit, config: &SimConfig) -> AnalyzeReport {
 /// from sim-time rounds only — is identical when the same seed is traced
 /// again (the trace stream is a function of the schedule). Half the cases
 /// run the union-find decoder, whose sampled error stream and emergent
-/// window latencies must obey the same determinism. (The name predates the
-/// single-threaded engine.)
+/// window latencies must obey the same determinism.
 #[test]
-fn utilization_fractions_are_valid_and_thread_invariant() {
+fn utilization_fractions_are_valid_and_replay_identically() {
     for_each_case(
-        "utilization_fractions_are_valid_and_thread_invariant",
+        "utilization_fractions_are_valid_and_replay_identically",
         |rng| {
             let circuit = arb_circuit(rng);
             let seed = rng.gen_range(1u64..1000);
