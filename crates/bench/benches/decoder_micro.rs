@@ -1,9 +1,12 @@
 //! Decoder-subsystem micro-benchmark: raw model submission throughput and
-//! the full runtime submit/retire cycle, for each decoder kind.
+//! the full runtime submit/retire cycle, for each decoder kind. The
+//! union-find model decodes real sampled windows (d = 7, p = 1e-2), so its
+//! row is the cost of cluster growth and peeling per 1k windows.
 
 use rescq_bench::{print_header, time_calls};
 use rescq_decoder::{
-    AdaptiveDecoder, DecoderConfig, DecoderModel, DecoderRuntime, FixedLatencyDecoder, IdealDecoder,
+    AdaptiveDecoder, DecoderConfig, DecoderModel, DecoderRuntime, ErrorChannel,
+    FixedLatencyDecoder, IdealDecoder, UnionFindDecoder,
 };
 
 const WINDOWS: u32 = 1024;
@@ -31,6 +34,13 @@ fn main() {
     });
     time_calls("model_adaptive_1k_windows", SAMPLES, || {
         drive_model(&mut AdaptiveDecoder::new(&DecoderConfig::adaptive(0.5, 4)))
+    });
+    time_calls("model_union_find_1k_windows", SAMPLES, || {
+        drive_model(&mut UnionFindDecoder::new(
+            &DecoderConfig::union_find(1.0),
+            7,
+            ErrorChannel::new(1e-2, 1),
+        ))
     });
     time_calls("runtime_submit_retire_1k_windows", SAMPLES, || {
         let mut rt = DecoderRuntime::new(&DecoderConfig::adaptive(0.5, 4), 7);

@@ -1,5 +1,6 @@
 //! Disjoint-set union with the cluster bookkeeping union-find decoding
-//! needs: per-root size, defect parity, and boundary attachment.
+//! needs: per-root size, defect parity, boundary attachment, and a member
+//! ring per cluster.
 //!
 //! This is deliberately not the bare [`rescq-lattice`] MST union-find — the
 //! decoder's clusters carry state that drives growth termination (a cluster
@@ -11,6 +12,13 @@
 ///
 /// Roots carry the authoritative `size` / `parity` / `boundary` values;
 /// non-root slots hold stale copies that are never read.
+///
+/// Every cluster's members also form a circular singly linked list (the
+/// *member ring*): `next_member` steps from any member to the next, and
+/// following it from `v` returns to `v` after exactly one visit of each
+/// member of `v`'s cluster. A union splices the two rings in `O(1)` by
+/// swapping the successors of the two roots, so the decoder can walk one
+/// cluster in `O(size)` instead of scanning every element for its root.
 #[derive(Debug, Clone)]
 pub struct ClusterDsu {
     parent: Vec<u32>,
@@ -20,6 +28,8 @@ pub struct ClusterDsu {
     parity: Vec<bool>,
     /// Whether the cluster contains a boundary (virtual) vertex.
     boundary: Vec<bool>,
+    /// Successor of each element in its cluster's member ring.
+    next: Vec<u32>,
 }
 
 impl ClusterDsu {
@@ -31,6 +41,7 @@ impl ClusterDsu {
             size: vec![1; n as usize],
             parity: vec![false; n as usize],
             boundary: vec![false; n as usize],
+            next: (0..n).collect(),
         }
     }
 
@@ -46,6 +57,8 @@ impl ClusterDsu {
         self.parity.resize(n as usize, false);
         self.boundary.clear();
         self.boundary.resize(n as usize, false);
+        self.next.clear();
+        self.next.extend(0..n);
     }
 
     /// Number of elements.
@@ -86,9 +99,15 @@ impl ClusterDsu {
         root
     }
 
+    /// The member after `v` in its cluster's member ring (`v` itself for a
+    /// singleton).
+    pub(crate) fn next_member(&self, v: u32) -> u32 {
+        self.next[v as usize]
+    }
+
     /// Merges the clusters of `a` and `b`. Returns the surviving root if the
     /// clusters were distinct, `None` if they were already one. Size adds,
-    /// parity XORs, boundary ORs.
+    /// parity XORs, boundary ORs, member rings splice.
     pub fn union(&mut self, a: u32, b: u32) -> Option<u32> {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra == rb {
@@ -106,6 +125,9 @@ impl ClusterDsu {
         self.size[winner as usize] += self.size[loser as usize];
         self.parity[winner as usize] ^= self.parity[loser as usize];
         self.boundary[winner as usize] |= self.boundary[loser as usize];
+        // Swapping the successors of one member of each ring joins the two
+        // cycles into one.
+        self.next.swap(ra as usize, rb as usize);
         Some(winner)
     }
 
@@ -203,6 +225,57 @@ mod tests {
         }
         assert_eq!(d.len(), 4);
         assert!(!d.is_empty());
+    }
+
+    /// Members of `v`'s cluster in ring order, starting at `v`.
+    fn ring(d: &ClusterDsu, v: u32) -> Vec<u32> {
+        let mut members = vec![v];
+        let mut cur = d.next_member(v);
+        while cur != v {
+            assert!(
+                members.len() <= d.len() as usize,
+                "ring from {v} never closes"
+            );
+            members.push(cur);
+            cur = d.next_member(cur);
+        }
+        members
+    }
+
+    #[test]
+    fn member_rings_list_exactly_each_cluster() {
+        // Seeded arbitrary unions (self-unions and repeats included); after
+        // every step each element's ring must be exactly its cluster.
+        let n = 40u32;
+        let mut d = ClusterDsu::new(n);
+        let mut state = 0x5EED_u64;
+        for _ in 0..120 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let a = (state >> 33) as u32 % n;
+            let b = (state >> 13) as u32 % n;
+            d.union(a, b);
+            for v in 0..n {
+                let mut got = ring(&d, v);
+                got.sort_unstable();
+                let root = d.find(v);
+                let want: Vec<u32> = (0..n).filter(|&u| d.find(u) == root).collect();
+                assert_eq!(got, want, "ring of {v}");
+                assert_eq!(got.len() as u32, d.cluster_size(v));
+            }
+        }
+        assert!(d.cluster_size(0) > 1, "the unions must build real clusters");
+        d.reset(n);
+        for v in 0..n {
+            assert_eq!(ring(&d, v), vec![v], "reset restores singleton rings");
+        }
+        // Shrinking and growing through reset keeps rings well formed.
+        d.reset(5);
+        d.union(1, 4);
+        assert_eq!(ring(&d, 1).len(), 2);
+        d.reset(7);
+        assert!((0..7).all(|v| d.next_member(v) == v));
     }
 
     #[test]

@@ -173,16 +173,23 @@ impl DetectorGraph {
     /// The syndrome a chain of flipped edges produces: parity, per real
     /// detector, of incident chain edges (boundary vertices absorb parity).
     pub fn syndrome_of(&self, chain: &SyndromeBits) -> SyndromeBits {
-        debug_assert_eq!(chain.len(), self.num_edges());
         let mut s = SyndromeBits::new(self.num_detectors());
+        self.syndrome_into(chain, &mut s);
+        s
+    }
+
+    /// [`syndrome_of`](DetectorGraph::syndrome_of) written into `out`,
+    /// reusing its allocation.
+    pub(crate) fn syndrome_into(&self, chain: &SyndromeBits, out: &mut SyndromeBits) {
+        debug_assert_eq!(chain.len(), self.num_edges());
+        out.reset(self.num_detectors());
         for e in chain.iter_ones() {
             for &v in &self.edges[e as usize] {
                 if !self.is_boundary(v) {
-                    s.toggle(v);
+                    out.toggle(v);
                 }
             }
         }
-        s
     }
 
     /// Parity of `chain`'s top-boundary-cut edges: `true` means the chain

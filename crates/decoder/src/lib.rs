@@ -38,8 +38,7 @@
 //! Everything here is deterministic: decode latency is a pure function of
 //! the submission schedule (and, for union-find, of the seeded error
 //! channel — window `w` of tile `t` draws from a stream derived from
-//! `(seed, t, w)`), so seeded simulations stay reproducible for any engine
-//! thread count.
+//! `(seed, t, w)`), so a seeded simulation replays identically.
 //!
 //! For differential testing, [`min_weight_correction`] is an exhaustive
 //! minimum-weight oracle over the same detector graphs.

@@ -83,6 +83,22 @@ impl SyndromeBits {
         self.words.fill(0);
     }
 
+    /// Resizes to `len` bits, all zero, reusing the allocation when it is
+    /// large enough.
+    pub(crate) fn reset(&mut self, len: u32) {
+        self.words.clear();
+        self.words.resize((len as usize).div_ceil(64), 0);
+        self.len = len;
+    }
+
+    /// Overwrites `self` with a copy of `other`, reusing the allocation
+    /// when it is large enough.
+    pub(crate) fn copy_from(&mut self, other: &SyndromeBits) {
+        self.words.clear();
+        self.words.extend_from_slice(&other.words);
+        self.len = other.len;
+    }
+
     /// XORs `other` into `self` (chain composition). Lengths must match.
     pub fn xor_with(&mut self, other: &SyndromeBits) {
         assert_eq!(self.len, other.len, "length mismatch in xor");
@@ -172,6 +188,20 @@ mod tests {
         // Self-inverse: XORing again restores the original.
         a.xor_with(&b);
         assert_eq!(a.iter_ones().collect::<Vec<_>>(), vec![0, 63, 64, 129]);
+    }
+
+    #[test]
+    fn reset_and_copy_from_reuse_the_allocation() {
+        let mut a = SyndromeBits::new(130);
+        a.set(129);
+        a.reset(65);
+        assert_eq!((a.len(), a.num_words(), a.popcount()), (65, 2, 0));
+        let mut b = SyndromeBits::new(10);
+        b.set(3);
+        a.copy_from(&b);
+        assert_eq!(a, b);
+        a.reset(200);
+        assert_eq!((a.len(), a.num_words(), a.popcount()), (200, 4, 0));
     }
 
     #[test]

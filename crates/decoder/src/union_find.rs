@@ -11,15 +11,15 @@
 //!
 //! Everything is deterministic: the error stream of window `w` on tile `t`
 //! is a pure function of `(channel seed, t, w)`, and windows are submitted
-//! by the engines in schedule order, which is itself bit-identical for any
-//! engine thread count.
+//! by the engines in schedule order, which is itself a pure function of the
+//! configuration and seed.
 
 use crate::dsu::ClusterDsu;
 use crate::graph::DetectorGraph;
 use crate::pauli_frame::PauliFrame;
 use crate::syndrome::SyndromeBits;
 use crate::{DecoderConfig, DecoderModel};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// The seeded physical error channel a union-find decoder samples.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,7 +29,7 @@ pub struct ErrorChannel {
     pub error_rate: f64,
     /// Base seed of the channel. Window streams are derived from
     /// `(seed, tile, window index)`, so the channel is independent of the
-    /// scheduler's RNG and of engine threading.
+    /// scheduler's RNG.
     pub seed: u64,
 }
 
@@ -134,8 +134,15 @@ fn window_seed(channel: u64, tile: u32, window: u64) -> u64 {
 /// from the deterministic stream `seed`.
 pub fn sample_error(graph: &DetectorGraph, p: f64, seed: u64) -> SyndromeBits {
     let mut error = SyndromeBits::new(graph.num_edges());
+    sample_error_into(graph, p, seed, &mut error);
+    error
+}
+
+/// [`sample_error`] written into `error`, reusing its allocation.
+fn sample_error_into(graph: &DetectorGraph, p: f64, seed: u64, error: &mut SyndromeBits) {
+    error.reset(graph.num_edges());
     if p <= 0.0 {
-        return error;
+        return;
     }
     let mut rng = SplitMix64::new(seed);
     // Saturating f64→u64 cast: p ≥ 1 flips every edge.
@@ -146,7 +153,6 @@ pub fn sample_error(graph: &DetectorGraph, p: f64, seed: u64) -> SyndromeBits {
             error.set(e);
         }
     }
-    error
 }
 
 /// Decodes the syndrome of `error` on `graph` with union-find cluster
@@ -158,154 +164,298 @@ pub fn sample_error(graph: &DetectorGraph, p: f64, seed: u64) -> SyndromeBits {
 /// the residual crosses the logical cut is the caller's question (see
 /// [`DetectorGraph::crosses_logical_cut`]).
 pub fn decode_chain(graph: &DetectorGraph, error: &SyndromeBits) -> DecodeOutcome {
-    let syndrome = graph.syndrome_of(error);
-    decode_syndrome(graph, &syndrome)
+    let mut ws = Workspace::new();
+    graph.syndrome_into(error, &mut ws.syndrome);
+    ws.decode(graph).outcome(ws.correction)
 }
 
 /// Decodes an explicit syndrome on `graph` (see [`decode_chain`]).
 pub fn decode_syndrome(graph: &DetectorGraph, syndrome: &SyndromeBits) -> DecodeOutcome {
-    debug_assert_eq!(syndrome.len(), graph.num_detectors());
-    let n = graph.num_nodes();
-    let mut dsu = ClusterDsu::new(n);
-    dsu.set_boundary(graph.top());
-    dsu.set_boundary(graph.bottom());
-    let defects: Vec<u32> = syndrome.iter_ones().collect();
-    for &v in &defects {
-        dsu.flip_parity(v);
+    let mut ws = Workspace::new();
+    ws.syndrome.copy_from(syndrome);
+    ws.decode(graph).outcome(ws.correction)
+}
+
+/// [`Workspace::support`] flag of an edge already collected in the current
+/// growth iteration.
+const QUEUED: u8 = 0x80;
+/// [`Workspace::parent_edge`] of a vertex the peeling forest has not reached.
+const UNSEEN: u32 = u32::MAX;
+/// [`Workspace::parent_edge`] of a peeling tree's root.
+const TREE_ROOT: u32 = u32::MAX - 1;
+
+/// The counts of one decode; the correction stays in the [`Workspace`].
+#[derive(Debug)]
+struct DecodeCounts {
+    defects: u32,
+    growth_steps: u64,
+    merges: u64,
+    peeled_edges: u64,
+    boundary_peels: u64,
+    work_units: u64,
+}
+
+impl DecodeCounts {
+    fn outcome(self, correction: SyndromeBits) -> DecodeOutcome {
+        DecodeOutcome {
+            correction,
+            defects: self.defects,
+            growth_steps: self.growth_steps,
+            merges: self.merges,
+            peeled_edges: self.peeled_edges,
+            boundary_peels: self.boundary_peels,
+            work_units: self.work_units,
+        }
+    }
+}
+
+/// Every buffer one decode needs. A [`UnionFindDecoder`] keeps one and
+/// reuses it for every window, so once it has seen a graph size a decode
+/// performs no heap allocation; [`decode_chain`] and [`decode_syndrome`]
+/// run the same code on a fresh one.
+#[derive(Debug)]
+struct Workspace {
+    dsu: ClusterDsu,
+    /// Defect detector ids of the syndrome, ascending.
+    defects: Vec<u32>,
+    /// Growth support per edge: 0, 1 (half-grown) or 2 (fully grown), with
+    /// [`QUEUED`] set while the edge is in `candidates`.
+    support: Vec<u8>,
+    /// Edges one growth iteration grows, ascending once sorted.
+    candidates: Vec<u32>,
+    /// Endpoints of the edges one growth iteration fully grew.
+    to_union: Vec<[u32; 2]>,
+    /// Endpoints of every fully grown edge (the erasure) of the decode.
+    erasure_ends: Vec<u32>,
+    /// Peeling forest: the tree edge to each vertex's parent, [`UNSEEN`]
+    /// before the vertex is reached, [`TREE_ROOT`] at a tree's root.
+    parent_edge: Vec<u32>,
+    /// Peeling forest vertices in discovery order.
+    order: Vec<u32>,
+    queue: VecDeque<u32>,
+    /// A window's sampled error chain; after the decode, the residual.
+    error: SyndromeBits,
+    /// The decode input.
+    syndrome: SyndromeBits,
+    /// The decode output.
+    correction: SyndromeBits,
+    /// Peeling's defect marks.
+    marks: SyndromeBits,
+}
+
+impl Workspace {
+    fn new() -> Self {
+        Workspace {
+            dsu: ClusterDsu::new(0),
+            defects: Vec::new(),
+            support: Vec::new(),
+            candidates: Vec::new(),
+            to_union: Vec::new(),
+            erasure_ends: Vec::new(),
+            parent_edge: Vec::new(),
+            order: Vec::new(),
+            queue: VecDeque::new(),
+            error: SyndromeBits::new(0),
+            syndrome: SyndromeBits::new(0),
+            correction: SyndromeBits::new(0),
+            marks: SyndromeBits::new(0),
+        }
     }
 
-    // Growth, smallest cluster first (the Delfosse–Nickerson rule): each
-    // iteration picks the smallest still-active cluster (odd parity, no
-    // boundary contact; ties broken by root id, so growth is fully
-    // deterministic) and grows every edge on its boundary by one
-    // half-step. Fully grown edges merge their endpoint clusters. Growing
-    // one cluster at a time keeps erasures tight — a cluster that reaches
-    // even parity or a boundary stops before flooding its neighborhood,
-    // which is what makes peeled corrections track minimum-weight ones on
-    // low-weight errors.
-    //
-    // Terminates: an active cluster always has an incident not-fully-grown
-    // edge (a cluster closed under full-support adjacency spans the whole
-    // connected graph, boundaries included, and boundary contact
-    // deactivates it), so every iteration raises some edge's support and
-    // total support is bounded by `2·edges`.
-    let mut support = vec![0u8; graph.num_edges() as usize];
-    let mut growth_steps = 0u64;
-    let mut merges = 0u64;
-    let mut to_union: Vec<[u32; 2]> = Vec::new();
-    loop {
-        let mut smallest: Option<(u32, u32)> = None;
-        for &v in &defects {
-            if dsu.cluster_active(v) {
-                let root = dsu.find(v);
-                let key = (dsu.cluster_size(root), root);
-                if smallest.is_none_or(|best| key < best) {
-                    smallest = Some(key);
+    /// Reserves every list's bound on `graph`, so that no later decode on
+    /// it allocates, however many defects its window holds.
+    fn reserve_for(&mut self, graph: &DetectorGraph) {
+        let (n, num_edges) = (graph.num_nodes() as usize, graph.num_edges() as usize);
+        self.defects.clear();
+        self.defects.reserve(n);
+        self.candidates.reserve(num_edges);
+        self.to_union.reserve(num_edges);
+        self.erasure_ends.clear();
+        self.erasure_ends.reserve(2 * num_edges);
+        self.order.clear();
+        self.order.reserve(n);
+        self.queue.reserve(n);
+    }
+
+    /// Decodes `self.syndrome` on `graph` into `self.correction`.
+    fn decode(&mut self, graph: &DetectorGraph) -> DecodeCounts {
+        debug_assert_eq!(self.syndrome.len(), graph.num_detectors());
+        let n = graph.num_nodes();
+        let num_edges = graph.num_edges() as usize;
+        self.defects.clear();
+        self.erasure_ends.clear();
+        self.order.clear();
+        let dsu = &mut self.dsu;
+        dsu.reset(n);
+        dsu.set_boundary(graph.top());
+        dsu.set_boundary(graph.bottom());
+        self.defects.extend(self.syndrome.iter_ones());
+        for &v in &self.defects {
+            dsu.flip_parity(v);
+        }
+
+        // Growth, smallest cluster first (the Delfosse–Nickerson rule): each
+        // iteration picks the smallest still-active cluster (odd parity, no
+        // boundary contact; ties broken by root id, so growth is fully
+        // deterministic) and grows every edge on its boundary by one
+        // half-step. Fully grown edges merge their endpoint clusters. Growing
+        // one cluster at a time keeps erasures tight — a cluster that reaches
+        // even parity or a boundary stops before flooding its neighborhood,
+        // which is what makes peeled corrections track minimum-weight ones on
+        // low-weight errors.
+        //
+        // An iteration costs O(defects + edges incident to the cluster): it
+        // walks the chosen cluster's member ring and collects each incident
+        // edge with support < 2 once. An active cluster never contains
+        // `TOP`/`BOTTOM` (boundary contact deactivates it), so the walk never
+        // expands a boundary vertex's adjacency. The candidates are sorted
+        // ascending before any support changes, which makes the unions,
+        // their order and every count identical to growing the matching
+        // edges in a scan over all edge ids.
+        //
+        // Terminates: an active cluster always has an incident not-fully-grown
+        // edge (a cluster closed under full-support adjacency spans the whole
+        // connected graph, boundaries included, and boundary contact
+        // deactivates it), so every iteration raises some edge's support and
+        // total support is bounded by `2·edges`.
+        let support = &mut self.support;
+        support.clear();
+        support.resize(num_edges, 0);
+        let mut growth_steps = 0u64;
+        let mut merges = 0u64;
+        loop {
+            let mut smallest: Option<(u32, u32)> = None;
+            for &v in &self.defects {
+                if dsu.cluster_active(v) {
+                    let root = dsu.find(v);
+                    let key = (dsu.cluster_size(root), root);
+                    if smallest.is_none_or(|best| key < best) {
+                        smallest = Some(key);
+                    }
+                }
+            }
+            let Some((_, root)) = smallest else { break };
+            let mut v = root;
+            loop {
+                for &e in graph.incident(v) {
+                    // A queued edge reads as >= 2, so it is collected once.
+                    if support[e as usize] < 2 {
+                        support[e as usize] |= QUEUED;
+                        self.candidates.push(e);
+                    }
+                }
+                v = dsu.next_member(v);
+                if v == root {
+                    break;
+                }
+            }
+            self.candidates.sort_unstable();
+            for &e in &self.candidates {
+                let grown = (support[e as usize] & !QUEUED) + 1;
+                support[e as usize] = grown;
+                growth_steps += 1;
+                if grown >= 2 {
+                    self.to_union.push(graph.endpoints(e));
+                }
+            }
+            for &[a, b] in &self.to_union {
+                self.erasure_ends.extend([a, b]);
+                if dsu.union(a, b).is_some() {
+                    merges += 1;
+                }
+            }
+            self.candidates.clear();
+            self.to_union.clear();
+        }
+
+        // Peeling: build a spanning forest of the erasure (fully grown edges),
+        // breadth first from `TOP`, `BOTTOM` and then every detector in
+        // ascending order, so clusters that touched a boundary root at it
+        // and peel their parity into it. Then walk vertices in reverse
+        // discovery order, moving each defect mark up its tree edge.
+        //
+        // A vertex with no fully grown edge is a one-vertex tree that adds
+        // nothing to the forest, so only the boundaries and the endpoints
+        // of grown edges (ascending) are tried as roots. The forest still
+        // visits all `n` vertices once, which is what the work model
+        // charges.
+        self.parent_edge.clear();
+        self.parent_edge.resize(n as usize, UNSEEN);
+        self.erasure_ends.sort_unstable();
+        let starts = [graph.top(), graph.bottom()];
+        for &start in starts.iter().chain(&self.erasure_ends) {
+            if self.parent_edge[start as usize] != UNSEEN {
+                continue;
+            }
+            self.parent_edge[start as usize] = TREE_ROOT;
+            self.queue.push_back(start);
+            while let Some(v) = self.queue.pop_front() {
+                for &e in graph.incident(v) {
+                    if support[e as usize] < 2 {
+                        continue;
+                    }
+                    let [a, b] = graph.endpoints(e);
+                    let w = if a == v { b } else { a };
+                    if self.parent_edge[w as usize] == UNSEEN {
+                        self.parent_edge[w as usize] = e;
+                        self.order.push(w);
+                        self.queue.push_back(w);
+                    }
                 }
             }
         }
-        let Some((_, root)) = smallest else { break };
-        to_union.clear();
-        for e in 0..graph.num_edges() {
-            if support[e as usize] >= 2 {
+        let erasure_visits = n as u64;
+        let correction = &mut self.correction;
+        let marks = &mut self.marks;
+        correction.reset(num_edges as u32);
+        marks.copy_from(&self.syndrome);
+        let mut peeled_edges = 0u64;
+        let mut boundary_peels = 0u64;
+        for &v in self.order.iter().rev() {
+            if graph.is_boundary(v) || !marks.get(v) {
                 continue;
             }
+            let e = self.parent_edge[v as usize];
+            correction.set(e);
+            peeled_edges += 1;
+            marks.clear(v);
             let [a, b] = graph.endpoints(e);
-            if dsu.find(a) != root && dsu.find(b) != root {
-                continue;
-            }
-            support[e as usize] += 1;
-            growth_steps += 1;
-            if support[e as usize] >= 2 {
-                to_union.push([a, b]);
+            let u = if a == v { b } else { a };
+            if graph.is_boundary(u) {
+                boundary_peels += 1;
+            } else {
+                marks.toggle(u);
             }
         }
-        for &[a, b] in &to_union {
-            if dsu.union(a, b).is_some() {
-                merges += 1;
-            }
+        debug_assert_eq!(
+            marks.popcount(),
+            0,
+            "peeling must consume every defect (clusters end even or boundary-attached)"
+        );
+        if cfg!(debug_assertions) {
+            // `marks` is all zero now: reuse it for the check, so debug
+            // builds stay allocation-free too.
+            graph.syndrome_into(correction, marks);
+            assert_eq!(
+                *marks, self.syndrome,
+                "correction must reproduce the observed syndrome"
+            );
         }
-    }
 
-    // Peeling: build a spanning forest of the erasure (fully grown edges),
-    // rooting trees at the boundary vertices first so clusters that
-    // touched a boundary peel their parity into it. Then walk vertices in
-    // reverse discovery order, moving each defect mark up its tree edge.
-    let mut parent_edge = vec![u32::MAX; n as usize];
-    let mut visited = vec![false; n as usize];
-    let mut order: Vec<u32> = Vec::new();
-    let mut queue: std::collections::VecDeque<u32> = std::collections::VecDeque::new();
-    let mut erasure_visits = 0u64;
-    let roots = [graph.top(), graph.bottom()];
-    let starts = roots.iter().copied().chain(0..graph.num_detectors());
-    for start in starts {
-        if visited[start as usize] {
-            continue;
+        // The latency work model: unpack the packed syndrome words
+        // (O(words) + O(popcount)), then the growth and peeling work.
+        let scan_words = self.syndrome.num_words() as u64;
+        let defect_count = self.defects.len() as u64;
+        let work_units =
+            scan_words + 2 * defect_count + growth_steps + erasure_visits + peeled_edges;
+        DecodeCounts {
+            defects: defect_count as u32,
+            growth_steps,
+            merges,
+            peeled_edges,
+            boundary_peels,
+            work_units,
         }
-        visited[start as usize] = true;
-        queue.push_back(start);
-        while let Some(v) = queue.pop_front() {
-            erasure_visits += 1;
-            for &e in graph.incident(v) {
-                if support[e as usize] < 2 {
-                    continue;
-                }
-                let [a, b] = graph.endpoints(e);
-                let w = if a == v { b } else { a };
-                if !visited[w as usize] {
-                    visited[w as usize] = true;
-                    parent_edge[w as usize] = e;
-                    order.push(w);
-                    queue.push_back(w);
-                }
-            }
-        }
-    }
-    let mut correction = SyndromeBits::new(graph.num_edges());
-    let mut marks = syndrome.clone();
-    let mut peeled_edges = 0u64;
-    let mut boundary_peels = 0u64;
-    for &v in order.iter().rev() {
-        if graph.is_boundary(v) || !marks.get(v) {
-            continue;
-        }
-        let e = parent_edge[v as usize];
-        debug_assert_ne!(e, u32::MAX, "defect {v} outside the erasure forest");
-        correction.set(e);
-        peeled_edges += 1;
-        marks.clear(v);
-        let [a, b] = graph.endpoints(e);
-        let u = if a == v { b } else { a };
-        if graph.is_boundary(u) {
-            boundary_peels += 1;
-        } else {
-            marks.toggle(u);
-        }
-    }
-    debug_assert_eq!(
-        marks.popcount(),
-        0,
-        "peeling must consume every defect (clusters end even or boundary-attached)"
-    );
-    debug_assert_eq!(
-        graph.syndrome_of(&correction),
-        *syndrome,
-        "correction must reproduce the observed syndrome"
-    );
-
-    // The latency work model: unpack the packed syndrome words
-    // (O(words) + O(popcount)), then the growth and peeling work.
-    let scan_words = syndrome.num_words() as u64;
-    let defect_count = defects.len() as u64;
-    let work_units = scan_words + 2 * defect_count + growth_steps + erasure_visits + peeled_edges;
-    DecodeOutcome {
-        correction,
-        defects: defect_count as u32,
-        growth_steps,
-        merges,
-        peeled_edges,
-        boundary_peels,
-        work_units,
     }
 }
 
@@ -345,6 +495,8 @@ pub struct UnionFindDecoder {
     graphs: BTreeMap<u32, DetectorGraph>,
     tiles: BTreeMap<u32, TileState>,
     last_work: DecodeWork,
+    /// Decode buffers shared by every window.
+    ws: Workspace,
 }
 
 impl UnionFindDecoder {
@@ -360,6 +512,7 @@ impl UnionFindDecoder {
             graphs: BTreeMap::new(),
             tiles: BTreeMap::new(),
             last_work: DecodeWork::default(),
+            ws: Workspace::new(),
         }
     }
 
@@ -381,11 +534,13 @@ impl UnionFindDecoder {
         while remaining > 0 {
             let chunk = remaining.min(self.distance);
             remaining -= chunk;
-            // Split borrows: the graph cache and tile map are disjoint.
-            let graph = self
-                .graphs
-                .entry(chunk)
-                .or_insert_with(|| DetectorGraph::new(self.distance, chunk));
+            // Split borrows: the graph cache, tile map and workspace are
+            // disjoint.
+            let graph = self.graphs.entry(chunk).or_insert_with(|| {
+                let graph = DetectorGraph::new(self.distance, chunk);
+                self.ws.reserve_for(&graph);
+                graph
+            });
             let tile_state = self.tiles.entry(tile).or_insert_with(|| TileState {
                 frame: PauliFrame::new(graph),
                 windows: 0,
@@ -393,18 +548,20 @@ impl UnionFindDecoder {
             });
             let seed = window_seed(self.channel.seed, tile, tile_state.windows);
             tile_state.windows += 1;
-            let error = sample_error(graph, self.channel.error_rate, seed);
-            let outcome = decode_chain(graph, &error);
-            tile_state.frame.absorb(graph, &outcome.correction);
-            let mut residual = error;
-            residual.xor_with(&outcome.correction);
+            let ws = &mut self.ws;
+            sample_error_into(graph, self.channel.error_rate, seed, &mut ws.error);
+            graph.syndrome_into(&ws.error, &mut ws.syndrome);
+            let counts = ws.decode(graph);
+            tile_state.frame.absorb(graph, &ws.correction);
+            // The error becomes the residual, error ⊕ correction.
+            ws.error.xor_with(&ws.correction);
             total.add(&DecodeWork {
-                defects: outcome.defects as u64,
-                growth_steps: outcome.growth_steps,
-                merges: outcome.merges,
-                peeled_edges: outcome.peeled_edges,
-                logical_failures: graph.crosses_logical_cut(&residual) as u64,
-                work_units: outcome.work_units,
+                defects: counts.defects as u64,
+                growth_steps: counts.growth_steps,
+                merges: counts.merges,
+                peeled_edges: counts.peeled_edges,
+                logical_failures: graph.crosses_logical_cut(&ws.error) as u64,
+                work_units: counts.work_units,
             });
         }
         total
@@ -503,6 +660,45 @@ mod tests {
         residual.xor_with(&out.correction);
         assert_eq!(g.syndrome_of(&residual).popcount(), 0);
         assert!(!g.crosses_logical_cut(&residual));
+    }
+
+    #[test]
+    fn reused_workspace_matches_fresh_decodes() {
+        // One workspace over interleaved graph sizes and error rates: no
+        // state left by a larger or denser window may leak into the next.
+        let graphs: Vec<DetectorGraph> = [(7, 7), (3, 1), (5, 3), (7, 2), (3, 3)]
+            .iter()
+            .map(|&(d, rounds)| DetectorGraph::new(d, rounds))
+            .collect();
+        let mut ws = Workspace::new();
+        for g in &graphs {
+            ws.reserve_for(g);
+        }
+        for w in 0..300u64 {
+            let g = &graphs[(w % 5) as usize];
+            let p = [0.3, 0.01, 0.1][(w % 3) as usize];
+            let error = sample_error(g, p, w);
+            sample_error_into(g, p, w, &mut ws.error);
+            assert_eq!(ws.error, error);
+            g.syndrome_into(&ws.error, &mut ws.syndrome);
+            let reused = ws.decode(g);
+            let fresh = decode_chain(g, &error);
+            assert_eq!(ws.correction, fresh.correction, "window {w}");
+            assert_eq!(
+                (reused.defects, reused.growth_steps, reused.merges),
+                (fresh.defects, fresh.growth_steps, fresh.merges),
+                "window {w}"
+            );
+            assert_eq!(
+                (
+                    reused.peeled_edges,
+                    reused.boundary_peels,
+                    reused.work_units
+                ),
+                (fresh.peeled_edges, fresh.boundary_peels, fresh.work_units),
+                "window {w}"
+            );
+        }
     }
 
     #[test]

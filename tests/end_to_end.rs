@@ -223,3 +223,49 @@ fn distance_sweep_reduces_cycles() {
         last = mean;
     }
 }
+
+#[test]
+fn union_find_stress_run_matches_full_edge_scan_golden() {
+    // Real union-find decode work inside a run: every |mθ⟩ injection on
+    // decoder_stress waits on a sampled window whose cluster growth,
+    // merges and peeling set its latency, and that latency feeds back into
+    // the schedule. Goldens recorded while each growth iteration still
+    // scanned every edge of the detector graph; cluster-local growth must
+    // reproduce them. `[total_rounds, decode_windows, decode_latency
+    // samples, decode_defects, decode_growth_steps, decode_failures,
+    // decoder_stall_rounds]`.
+    use rescq_repro::decoder::DecoderConfig;
+    use SchedulerKind::{Greedy, Rescq};
+    let circuit = rescq_repro::workloads::generate("decoder_stress_n64", 1).unwrap();
+    let cases: [(SchedulerKind, u64, [u64; 7]); 6] = [
+        (Rescq, 1, [47460, 1508, 1508, 29244, 181242, 3, 869431]),
+        (Rescq, 2, [36880, 1454, 1454, 28699, 178346, 2, 854495]),
+        (Rescq, 3, [58606, 1568, 1568, 31358, 193862, 6, 921713]),
+        (Greedy, 1, [83625, 1521, 1521, 46154, 286364, 4, 1322594]),
+        (Greedy, 2, [80162, 1548, 1548, 46679, 291746, 5, 1345799]),
+        (Greedy, 3, [88464, 1601, 1601, 48607, 301910, 11, 1392690]),
+    ];
+    for (scheduler, seed, want) in cases {
+        let config = SimConfig::builder()
+            .scheduler(scheduler)
+            .decoder(DecoderConfig::union_find(1.0))
+            .physical_error_rate(1e-2)
+            .seed(seed)
+            .build();
+        let r = simulate(&circuit, &config).unwrap();
+        let c = &r.counters;
+        let got = [
+            r.total_rounds,
+            c.decode_windows,
+            r.decode_latency.count(),
+            c.decode_defects,
+            c.decode_growth_steps,
+            c.decode_failures,
+            c.decoder_stall_rounds,
+        ];
+        assert_eq!(
+            got, want,
+            "{scheduler} seed {seed}: [rounds, windows, decoded, defects, growth, failures, stall]"
+        );
+    }
+}
