@@ -9,7 +9,7 @@
 //! sweep itself is deterministic, so repeat runs produce identical rows.
 
 use rescq_bench::print_header;
-use rescq_harness::{csv_row, run_sweep, JobMetrics, RunOptions, SweepSpec, CSV_HEADER};
+use rescq_harness::{csv_header, csv_row, run_sweep, JobMetrics, RunOptions, SweepSpec};
 use std::time::Instant;
 
 const WORKERS: usize = 4;
@@ -31,7 +31,7 @@ fn spec() -> SweepSpec {
 /// rebuilds DAG + fabric inside `simulate`, one job at a time.
 fn run_sequential(spec: &SweepSpec) -> String {
     let jobs = spec.expand();
-    let mut rows = vec![CSV_HEADER.to_string()];
+    let mut rows = vec![csv_header()];
     for point in jobs.chunks(spec.seeds as usize) {
         let circuit = rescq_workloads::generate(&point[0].workload, spec.circuit_seed).unwrap();
         for job in point {

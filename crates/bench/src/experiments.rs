@@ -7,7 +7,7 @@
 
 use rescq_core::{KPolicy, SchedulerKind};
 use rescq_decoder::{DecoderConfig, DecoderKind};
-use rescq_harness::{run_sweep, CacheStats, DecoderPoint, RunOptions, SweepSpec};
+use rescq_harness::{run_sweep, CacheStats, DecoderPoint, RunOptions, SweepSpec, Value};
 use rescq_rus::{PreparationModel, RusParams, TFactoryModel};
 use rescq_sim::runner::{geomean, run_seeds, SweepSummary};
 use rescq_sim::{LatencyHistogram, SimConfig, SimError};
@@ -425,7 +425,7 @@ pub fn decoder_sweep_with_stats(
             throughput: tp,
             mean_cycles: s.mean_cycles,
             mean_stall_cycles: s.mean_stall_cycles,
-            peak_backlog: s.peak_backlog,
+            peak_backlog: s.aggregate("peak_backlog").map_or(0, Value::as_u64),
         })
         .collect();
     let monotone = rows

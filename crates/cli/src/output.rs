@@ -18,12 +18,12 @@ pub fn write_reports_csv(path: &Path, reports: &[ExecutionReport]) -> std::io::R
     // and untraced runs produce byte-identical CSVs.
     writeln!(
         f,
-        "scheduler,seed,distance,total_cycles,idle_fraction,gates,injections,injection_failures,preps_started,preps_cancelled,edge_rotations,mst_computations,k,tau,decode_windows,decoder_stall_cycles,decoder_peak_backlog,preemptions,preemptions_rejected_cycle,preemptions_cross_shard,claims_cross_shard,waitgraph_peak_edges,preemptions_class,preempt_speculative,preempt_compute,preempt_injection,preempt_factory,stall_ancilla,stall_decoder,stall_route,stall_class,decode_defects,decode_growth_steps,decode_failures"
+        "scheduler,seed,distance,total_cycles,idle_fraction,gates,injections,injection_failures,preps_started,preps_cancelled,edge_rotations,mst_computations,k,tau,decode_windows,decoder_stall_cycles,decoder_peak_backlog,preemptions,preemptions_rejected_cycle,preemptions_cross_shard,claims_cross_shard,waitgraph_peak_edges,preemptions_class,preempt_speculative,preempt_compute,preempt_injection,preempt_factory,stall_ancilla,stall_decoder,stall_route,stall_class,decode_defects,decode_growth_steps,decode_failures,decode_merges,decode_peeled_edges"
     )?;
     for r in reports {
         writeln!(
             f,
-            "{},{},{},{:.3},{:.4},{},{},{},{},{},{},{},{},{},{},{:.3},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+            "{},{},{},{:.3},{:.4},{},{},{},{},{},{},{},{},{},{},{:.3},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
             r.scheduler,
             r.seed,
             r.distance,
@@ -58,6 +58,8 @@ pub fn write_reports_csv(path: &Path, reports: &[ExecutionReport]) -> std::io::R
             r.counters.decode_defects,
             r.counters.decode_growth_steps,
             r.counters.decode_failures,
+            r.counters.decode_merges,
+            r.counters.decode_peeled_edges,
         )?;
     }
     Ok(())

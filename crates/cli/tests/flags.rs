@@ -21,11 +21,17 @@ fn unknown_flags_are_errors_on_every_subcommand() {
         &["analyze", "missing.json", "--bogus-flag"],
         &["sweep", "missing.toml", "--bogus-flag"],
         &["fig", "3", "--bogus-flag"],
+        &["bench", "--baseline", "x.json"],
     ] {
         let out = sim(args);
         assert!(!out.status.success(), "{args:?} must fail");
+        // Each case's unknown flag is its first flag other than `--seeds`.
+        let flag = args
+            .iter()
+            .find(|a| a.starts_with("--") && **a != "--seeds")
+            .unwrap();
         assert!(
-            stderr(&out).contains("unknown flag `--bogus-flag`"),
+            stderr(&out).contains(&format!("unknown flag `{flag}`")),
             "{args:?}: {}",
             stderr(&out)
         );

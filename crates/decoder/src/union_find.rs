@@ -647,6 +647,37 @@ mod tests {
     }
 
     #[test]
+    fn equal_rank_merge_order_decides_the_next_grown_cluster() {
+        // On the d = 11 one-round graph (detector `i * 11 + j` sits at row i,
+        // column j), defects 63 and 64 grow into one cluster rooted at 52,
+        // defect 72 into one rooted at 61, both of rank 1. In one growth
+        // iteration of the cluster rooted at 61 its edges (62, 73) and
+        // (61, 62) both reach cluster 52: a rank tie, so the first union
+        // decides the surviving root. Unioning the candidates in ascending
+        // edge order makes (62, 73) first, so root 52 survives. The merged
+        // cluster then has 16 vertices, as does the cluster rooted at 55
+        // (defect 66), and the `(size, root)` tie-break grows the one rooted
+        // at 52 first. Unioning in member-ring order makes (61, 62) first,
+        // root 61 survives, cluster 55 grows first and the decode does less
+        // growth (120 half-steps, 43 merges).
+        let g = DetectorGraph::new(11, 1);
+        let mut syndrome = SyndromeBits::new(g.num_detectors());
+        for v in [8, 63, 64, 66, 72] {
+            syndrome.set(v);
+        }
+        let out = decode_syndrome(&g, &syndrome);
+        assert_eq!(
+            (out.growth_steps, out.merges, out.peeled_edges),
+            (138, 48, 8)
+        );
+        assert_eq!(
+            out.correction.iter_ones().collect::<Vec<_>>(),
+            [8, 179, 181, 182, 183, 184, 185, 186]
+        );
+        assert_eq!(g.syndrome_of(&out.correction), syndrome);
+    }
+
+    #[test]
     fn boundary_defect_peels_into_the_boundary() {
         let g = DetectorGraph::new(3, 1);
         // A top boundary edge error: a single defect adjacent to TOP. The

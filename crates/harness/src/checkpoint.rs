@@ -159,16 +159,31 @@ pub fn read_checkpoint_rows(path: &Path) -> Result<HashMap<u64, (String, JobMetr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::results::{csv_row, sample_metrics};
     use crate::spec::SweepSpec;
+
+    /// A fresh checkpoint path in the temp dir (any old file removed).
+    fn scratch_path(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join("rescq_harness_ckpt_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    /// The jobs of a `dnn_n16` spec with `seeds` seeds.
+    fn dnn_jobs(seeds: u64) -> Vec<JobSpec> {
+        let spec = SweepSpec {
+            workloads: vec!["dnn_n16".into()],
+            seeds,
+            ..SweepSpec::default()
+        };
+        spec.expand()
+    }
 
     #[test]
     fn fingerprints_separate_jobs() {
-        let spec = SweepSpec {
-            workloads: vec!["dnn_n16".into()],
-            seeds: 2,
-            ..SweepSpec::default()
-        };
-        let jobs = spec.expand();
+        let jobs = dnn_jobs(2);
         let a = job_fingerprint(&jobs[0], 1234, 1);
         let b = job_fingerprint(&jobs[1], 1234, 1);
         assert_ne!(a, b, "different seeds must fingerprint differently");
@@ -182,48 +197,15 @@ mod tests {
 
     #[test]
     fn checkpoint_round_trip() {
-        let dir = std::env::temp_dir().join("rescq_harness_ckpt_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("roundtrip.ckpt");
-        let _ = std::fs::remove_file(&path);
+        let path = scratch_path("roundtrip.ckpt");
 
-        let spec = SweepSpec {
-            workloads: vec!["dnn_n16".into()],
-            seeds: 1,
-            ..SweepSpec::default()
-        };
-        let job = spec.expand().remove(0);
-        let metrics = JobMetrics {
-            seed: 1,
-            total_cycles: 321.125,
-            idle_fraction: 0.5,
-            stall_cycles: 0.0,
-            decode_windows: 3,
-            peak_backlog: 1,
-            injections: 9,
-            injection_failures: 4,
-            preps_started: 12,
-            preps_cancelled: 0,
-            preemptions: 0,
-            preemptions_rejected: 0,
-            waitgraph_peak_edges: 0,
-            preemptions_class: 0,
-            stall_ancilla: 0,
-            stall_decoder: 0,
-            stall_route: 0,
-            stall_class: 0,
-            cnot_p50: 0,
-            cnot_p99: 0,
-            decode_p99: 0,
-            decode_defects: 5,
-            decode_growth_steps: 40,
-            decode_failures: 0,
-        };
+        let job = dnn_jobs(1).remove(0);
+        let metrics = sample_metrics(1);
         let fp = job_fingerprint(&job, 42, 1);
         {
             let ckpt = Checkpoint::open(&path).unwrap();
             assert_eq!(ckpt.loaded(), 0);
-            ckpt.record(fp, &crate::results::csv_row(&job, &metrics));
+            ckpt.record(fp, &csv_row(&job, &metrics));
         }
         let reopened = Checkpoint::open(&path).unwrap();
         assert_eq!(reopened.loaded(), 1);
@@ -234,48 +216,16 @@ mod tests {
 
     #[test]
     fn truncated_final_line_does_not_swallow_next_record() {
-        let dir = std::env::temp_dir().join("rescq_harness_ckpt_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("truncated.ckpt");
+        let path = scratch_path("truncated.ckpt");
         // A kill mid-write left a partial line with no trailing newline.
         std::fs::write(&path, "# header\n0000000000000abc workload,trunc").unwrap();
 
-        let spec = SweepSpec {
-            workloads: vec!["dnn_n16".into()],
-            seeds: 1,
-            ..SweepSpec::default()
-        };
-        let job = spec.expand().remove(0);
-        let metrics = JobMetrics {
-            seed: 1,
-            total_cycles: 10.5,
-            idle_fraction: 0.25,
-            stall_cycles: 0.0,
-            decode_windows: 0,
-            peak_backlog: 0,
-            injections: 1,
-            injection_failures: 0,
-            preps_started: 1,
-            preps_cancelled: 0,
-            preemptions: 0,
-            preemptions_rejected: 0,
-            waitgraph_peak_edges: 0,
-            preemptions_class: 0,
-            stall_ancilla: 0,
-            stall_decoder: 0,
-            stall_route: 0,
-            stall_class: 0,
-            cnot_p50: 0,
-            cnot_p99: 0,
-            decode_p99: 0,
-            decode_defects: 0,
-            decode_growth_steps: 0,
-            decode_failures: 0,
-        };
+        let job = dnn_jobs(1).remove(0);
+        let metrics = sample_metrics(1);
         let fp = job_fingerprint(&job, 7, 1);
         {
             let ckpt = Checkpoint::open(&path).unwrap();
-            ckpt.record(fp, &crate::results::csv_row(&job, &metrics));
+            ckpt.record(fp, &csv_row(&job, &metrics));
         }
         let reopened = Checkpoint::open(&path).unwrap();
         assert_eq!(
@@ -288,54 +238,23 @@ mod tests {
 
     #[test]
     fn resume_skips_old_schema_rows_and_keeps_current_ones() {
-        // A checkpoint written before the decode-work columns existed holds
-        // 30-column rows. Resuming against it must silently drop those rows
-        // (the jobs simply re-run) while current-width rows restore fine.
-        let dir = std::env::temp_dir().join("rescq_harness_ckpt_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("schema_resume.ckpt");
-        let _ = std::fs::remove_file(&path);
+        // A checkpoint written before the `decode_merges` and
+        // `decode_peeled_edges` columns existed holds 32-column rows.
+        // Resuming against it must silently drop those rows (the jobs simply
+        // re-run) while current-width rows restore fine.
+        let path = scratch_path("schema_resume.ckpt");
 
-        let spec = SweepSpec {
-            workloads: vec!["dnn_n16".into()],
-            seeds: 2,
-            ..SweepSpec::default()
-        };
-        let jobs = spec.expand();
-        let metrics = JobMetrics {
-            seed: 1,
-            total_cycles: 55.0,
-            idle_fraction: 0.1,
-            stall_cycles: 2.0,
-            decode_windows: 4,
-            peak_backlog: 1,
-            injections: 3,
-            injection_failures: 0,
-            preps_started: 3,
-            preps_cancelled: 0,
-            preemptions: 0,
-            preemptions_rejected: 0,
-            waitgraph_peak_edges: 0,
-            preemptions_class: 0,
-            stall_ancilla: 0,
-            stall_decoder: 2,
-            stall_route: 0,
-            stall_class: 0,
-            cnot_p50: 1,
-            cnot_p99: 2,
-            decode_p99: 3,
-            decode_defects: 7,
-            decode_growth_steps: 21,
-            decode_failures: 0,
-        };
-        let current_row = crate::results::csv_row(&jobs[0], &metrics);
-        // Simulate the pre-decode-work schema by stripping the three newest
-        // columns off a current row.
+        let jobs = dnn_jobs(2);
+        let metrics = sample_metrics(1);
+        let current_row = csv_row(&jobs[0], &metrics);
+        // Simulate the older schema by stripping the two newest columns off
+        // a current row.
         let old_row = current_row
-            .rsplitn(4, ',')
-            .nth(3)
-            .expect("row has more than 3 columns")
+            .rsplitn(3, ',')
+            .nth(2)
+            .expect("row has more than 2 columns")
             .to_string();
+        assert_eq!(old_row.split(',').count(), 32);
         let fp_old = job_fingerprint(&jobs[1], 42, 1);
         let fp_new = job_fingerprint(&jobs[0], 42, 1);
         std::fs::write(
@@ -357,9 +276,7 @@ mod tests {
         // dropped: 33 columns under the old fingerprint (which hashed
         // `et=1`). They load without error and restore nothing, so those
         // jobs re-run; restoring them would misparse the shifted columns.
-        let dir = std::env::temp_dir().join("rescq_harness_ckpt_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("engine_threads_column.ckpt");
+        let path = scratch_path("engine_threads_column.ckpt");
         std::fs::write(
             &path,
             format!(
@@ -378,9 +295,7 @@ mod tests {
 
     #[test]
     fn malformed_lines_skipped() {
-        let dir = std::env::temp_dir().join("rescq_harness_ckpt_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("malformed.ckpt");
+        let path = scratch_path("malformed.ckpt");
         std::fs::write(&path, "# header\nnot a line\nzzzz bad,row\n").unwrap();
         let ckpt = Checkpoint::open(&path).unwrap();
         assert_eq!(ckpt.loaded(), 0);

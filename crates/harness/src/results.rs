@@ -1,6 +1,14 @@
 //! Deterministic aggregation of sweep results: per-job rows, per-point
 //! summary statistics, and CSV/JSON writers.
 //!
+//! Every per-job metric is declared once, as one line of [`COLUMNS`]: its
+//! name, numeric kind, per-point aggregation and extractor. The CSV header
+//! and rows, the checkpoint parser, the point summaries and the sweep JSON
+//! all loop over that table, so adding a sweep column takes one table line
+//! (plus the counter's increment site in the engine). New columns go last,
+//! so older tooling keeps its column positions; every column is sim-time
+//! derived, so rows are byte-identical whether or not a run was traced.
+//!
 //! Rows are always emitted in job-index order — the executor stores results
 //! by index, so output is byte-identical no matter how many workers ran the
 //! sweep. Floats are formatted with Rust's shortest-round-trip `Display`,
@@ -9,91 +17,195 @@
 use crate::cache::CacheStats;
 use crate::spec::{fmt_k, fmt_priority, JobSpec, SweepSpec};
 use rescq_sim::ExecutionReport;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
-/// The scalar metrics of one completed job (one seeded run).
-#[derive(Debug, Clone, PartialEq)]
-pub struct JobMetrics {
-    /// The run seed.
-    pub seed: u64,
-    /// Makespan in lattice-surgery cycles.
-    pub total_cycles: f64,
-    /// Data-qubit idle fraction.
-    pub idle_fraction: f64,
-    /// Cycles feed-forward decisions stalled on the decoder.
-    pub stall_cycles: f64,
-    /// Syndrome windows submitted to the decoder.
-    pub decode_windows: u64,
-    /// Largest decode backlog observed.
-    pub peak_backlog: u64,
-    /// Injection attempts.
-    pub injections: u64,
-    /// Injection failures.
-    pub injection_failures: u64,
-    /// Preparations started.
-    pub preps_started: u64,
-    /// Preparations cancelled.
-    pub preps_cancelled: u64,
-    /// Ledger preemptions applied (constrained-fabric RESCQ).
-    pub preemptions: u64,
-    /// Preemptions the ledger rejected to keep the wait-for graph acyclic.
-    pub preemptions_rejected: u64,
-    /// Peak distinct edges in the task wait-for graph.
-    pub waitgraph_peak_edges: u64,
-    /// Preemptions granted by the priority-class lattice (the preemptor's
-    /// class strictly outranked a displaced entry; 0 in class-blind runs).
-    pub preemptions_class: u64,
-    /// Task-cycles stalled on ancilla contention (no free route tiles).
-    pub stall_ancilla: u64,
-    /// Task-cycles stalled on decoder backlog (feed-forward gated).
-    pub stall_decoder: u64,
-    /// Task-cycles stalled on a blocked CNOT route.
-    pub stall_route: u64,
-    /// Task-cycles stalled after displacement by a higher priority class.
-    pub stall_class: u64,
-    /// Median CNOT completion latency in cycles.
-    pub cnot_p50: u64,
-    /// 99th-percentile CNOT completion latency in cycles.
-    pub cnot_p99: u64,
-    /// 99th-percentile decode-window latency in cycles.
-    pub decode_p99: u64,
-    /// Defects the union-find decoder observed (0 for latency models).
-    pub decode_defects: u64,
-    /// Union-find cluster-growth half-steps performed.
-    pub decode_growth_steps: u64,
-    /// Windows whose residual error crossed the logical cut.
-    pub decode_failures: u64,
+/// One metric value, typed by its column's kind.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Value {
+    /// An integer count or cycle figure.
+    U64(u64),
+    /// A fractional figure.
+    F64(f64),
 }
+
+impl Value {
+    /// The value as a float.
+    pub fn as_f64(self) -> f64 {
+        match self {
+            Value::U64(x) => x as f64,
+            Value::F64(x) => x,
+        }
+    }
+
+    /// The value as an integer (a float truncates toward zero).
+    pub fn as_u64(self) -> u64 {
+        match self {
+            Value::U64(x) => x,
+            Value::F64(x) => x as u64,
+        }
+    }
+}
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::U64(x) => x.fmt(f),
+            Value::F64(x) => x.fmt(f),
+        }
+    }
+}
+
+/// How a column folds across the seeds of one sweep point.
+#[derive(Clone, Copy)]
+enum Agg {
+    /// Per-job only: the point summary has no key for it.
+    None,
+    /// Total across seeds.
+    Sum,
+    /// Largest value across seeds.
+    Max,
+    /// Mean across seeds (always a float).
+    Mean,
+}
+
+/// A column's numeric kind together with its extractor.
+#[derive(Clone, Copy)]
+enum Extract {
+    /// An integer column.
+    U64(fn(&ExecutionReport) -> u64),
+    /// A float column.
+    F64(fn(&ExecutionReport) -> f64),
+}
+
+/// One per-job metric column of the sweep outputs.
+struct Column {
+    /// CSV header name and sweep-JSON summary key.
+    name: &'static str,
+    /// Per-point aggregation.
+    agg: Agg,
+    /// Kind and extractor.
+    extract: Extract,
+}
+
+const fn u(name: &'static str, agg: Agg, get: fn(&ExecutionReport) -> u64) -> Column {
+    Column {
+        name,
+        agg,
+        extract: Extract::U64(get),
+    }
+}
+
+const fn f(name: &'static str, agg: Agg, get: fn(&ExecutionReport) -> f64) -> Column {
+    Column {
+        name,
+        agg,
+        extract: Extract::F64(get),
+    }
+}
+
+/// The metric columns of a sweep row, in CSV order.
+#[rustfmt::skip]
+const COLUMNS: &[Column] = &[
+    u("seed", Agg::None, |r| r.seed),
+    f("total_cycles", Agg::None, ExecutionReport::total_cycles),
+    f("idle_fraction", Agg::None, ExecutionReport::idle_fraction),
+    f("stall_cycles", Agg::None, ExecutionReport::decoder_stall_cycles),
+    u("decode_windows", Agg::None, |r| r.counters.decode_windows),
+    u("peak_backlog", Agg::Max, |r| r.counters.decoder_peak_backlog),
+    u("injections", Agg::None, |r| r.counters.injections),
+    u("injection_failures", Agg::None, |r| r.counters.injection_failures),
+    u("preps_started", Agg::None, |r| r.counters.preps_started),
+    u("preps_cancelled", Agg::None, |r| r.counters.preps_cancelled),
+    u("preemptions", Agg::Sum, |r| r.counters.preemptions),
+    u("preemptions_rejected", Agg::Sum, |r| r.counters.preemptions_rejected_cycle),
+    u("waitgraph_peak_edges", Agg::Max, |r| r.counters.waitgraph_peak_edges),
+    u("preemptions_class", Agg::Sum, |r| r.counters.preemptions_class),
+    u("stall_ancilla", Agg::Sum, |r| r.counters.stall_ancilla_cycles),
+    u("stall_decoder", Agg::Sum, |r| r.counters.stall_decoder_cycles),
+    u("stall_route", Agg::Sum, |r| r.counters.stall_route_cycles),
+    u("stall_class", Agg::Sum, |r| r.counters.stall_class_cycles),
+    u("cnot_p50", Agg::Mean, |r| r.cnot_latency.percentile(0.5)),
+    u("cnot_p99", Agg::Max, |r| r.cnot_latency.percentile(0.99)),
+    u("decode_p99", Agg::Max, |r| r.decode_latency.percentile(0.99)),
+    u("decode_defects", Agg::Sum, |r| r.counters.decode_defects),
+    u("decode_growth_steps", Agg::Sum, |r| r.counters.decode_growth_steps),
+    u("decode_failures", Agg::Sum, |r| r.counters.decode_failures),
+    u("decode_merges", Agg::Sum, |r| r.counters.decode_merges),
+    u("decode_peeled_edges", Agg::Sum, |r| r.counters.decode_peeled_edges),
+];
+
+const NUM_COLUMNS: usize = COLUMNS.len();
+
+/// Positions in [`COLUMNS`] of the makespan and decoder-stall columns, which
+/// the named cycle statistics of [`PointSummary`] read (the sweep golden in
+/// `tests/golden/` pins the statistics they produce).
+const TOTAL_CYCLES: usize = 1;
+const STALL_CYCLES: usize = 3;
+
+impl Column {
+    fn extract(&self, report: &ExecutionReport) -> Value {
+        match self.extract {
+            Extract::U64(get) => Value::U64(get(report)),
+            Extract::F64(get) => Value::F64(get(report)),
+        }
+    }
+
+    fn parse(&self, text: &str) -> Result<Value, String> {
+        let bad = |kind| format!("bad {kind} `{text}` in column `{}`", self.name);
+        match self.extract {
+            Extract::U64(_) => text.parse().map(Value::U64).map_err(|_| bad("integer")),
+            Extract::F64(_) => text.parse().map(Value::F64).map_err(|_| bad("float")),
+        }
+    }
+
+    /// Folds one point's values of this column; `n` is the mean's divisor.
+    fn aggregate(&self, values: impl Iterator<Item = Value>, n: f64) -> Option<Value> {
+        let float = matches!(self.extract, Extract::F64(_));
+        Some(match (self.agg, float) {
+            (Agg::None, _) => return None,
+            (Agg::Mean, _) => Value::F64(values.map(Value::as_f64).sum::<f64>() / n),
+            (Agg::Sum, false) => Value::U64(values.map(Value::as_u64).sum()),
+            (Agg::Max, false) => Value::U64(values.map(Value::as_u64).max().unwrap_or(0)),
+            (Agg::Sum, true) => Value::F64(values.map(Value::as_f64).sum()),
+            (Agg::Max, true) => Value::F64(values.map(Value::as_f64).fold(0.0, f64::max)),
+        })
+    }
+}
+
+/// Renders one grid cell of a job.
+type Cell = fn(&JobSpec) -> String;
+
+/// The grid columns that lead every row: the job's sweep coordinates.
+/// `priority` is a spec axis (it names the arbitration policy a point ran
+/// under), so it sits here rather than among the metrics. The flag marks
+/// the columns the sweep JSON writes as strings.
+#[rustfmt::skip]
+const GRID: &[(&str, bool, Cell)] = &[
+    ("workload", true, |j| j.workload.clone()),
+    ("scheduler", true, |j| j.config.scheduler.to_string()),
+    ("distance", false, |j| j.config.distance.to_string()),
+    ("error_rate", false, |j| j.config.physical_error_rate.to_string()),
+    ("k", true, |j| fmt_k(j.config.k_policy)),
+    ("compression", false, |j| j.config.compression.to_string()),
+    ("decoder", true, |j| j.decoder.to_string()),
+    ("priority", true, |j| fmt_priority(&j.config.priority_classes)),
+];
+
+/// The metric values of one completed job (one seeded run), in the order
+/// of the sweep's metric columns.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JobMetrics(pub(crate) [Value; NUM_COLUMNS]);
 
 impl JobMetrics {
     /// Extracts the metrics a sweep keeps from a full report.
     pub fn from_report(report: &ExecutionReport) -> Self {
-        JobMetrics {
-            seed: report.seed,
-            total_cycles: report.total_cycles(),
-            idle_fraction: report.idle_fraction(),
-            stall_cycles: report.decoder_stall_cycles(),
-            decode_windows: report.counters.decode_windows,
-            peak_backlog: report.counters.decoder_peak_backlog,
-            injections: report.counters.injections,
-            injection_failures: report.counters.injection_failures,
-            preps_started: report.counters.preps_started,
-            preps_cancelled: report.counters.preps_cancelled,
-            preemptions: report.counters.preemptions,
-            preemptions_rejected: report.counters.preemptions_rejected_cycle,
-            waitgraph_peak_edges: report.counters.waitgraph_peak_edges,
-            preemptions_class: report.counters.preemptions_class,
-            stall_ancilla: report.counters.stall_ancilla_cycles,
-            stall_decoder: report.counters.stall_decoder_cycles,
-            stall_route: report.counters.stall_route_cycles,
-            stall_class: report.counters.stall_class_cycles,
-            cnot_p50: report.cnot_latency.percentile(0.5),
-            cnot_p99: report.cnot_latency.percentile(0.99),
-            decode_p99: report.decode_latency.percentile(0.99),
-            decode_defects: report.counters.decode_defects,
-            decode_growth_steps: report.counters.decode_growth_steps,
-            decode_failures: report.counters.decode_failures,
-        }
+        JobMetrics(std::array::from_fn(|i| COLUMNS[i].extract(report)))
+    }
+
+    /// The value of the metric column called `name`, if there is one.
+    pub fn get(&self, name: &str) -> Option<Value> {
+        let i = COLUMNS.iter().position(|c| c.name == name)?;
+        Some(self.0[i])
     }
 }
 
@@ -108,105 +220,45 @@ pub struct JobRecord {
     pub resumed: bool,
 }
 
-/// The CSV column header of per-job rows. `priority` sits with the grid
-/// columns (it is a spec axis, not a result: it names the arbitration
-/// policy a point ran under). The union-find decode-work counters are the
-/// last metric columns, per the strip-last-column convention for newly
-/// added counters; they are sim-time derived, so the rows stay
-/// byte-identical whether or not a run was traced.
-pub const CSV_HEADER: &str = "workload,scheduler,distance,error_rate,k,compression,decoder,\
-priority,seed,\
-total_cycles,idle_fraction,stall_cycles,decode_windows,peak_backlog,injections,\
-injection_failures,preps_started,preps_cancelled,preemptions,preemptions_rejected,\
-waitgraph_peak_edges,preemptions_class,stall_ancilla,stall_decoder,stall_route,stall_class,\
-cnot_p50,cnot_p99,decode_p99,decode_defects,decode_growth_steps,decode_failures";
+/// The CSV column header of per-job rows: the grid columns, then the
+/// metric columns.
+pub fn csv_header() -> String {
+    let names: Vec<&str> = GRID
+        .iter()
+        .map(|g| g.0)
+        .chain(COLUMNS.iter().map(|c| c.name))
+        .collect();
+    names.join(",")
+}
 
 /// Formats one job + metrics as a CSV row (no trailing newline).
 pub fn csv_row(job: &JobSpec, m: &JobMetrics) -> String {
-    format!(
-        "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-        job.workload,
-        job.config.scheduler,
-        job.config.distance,
-        job.config.physical_error_rate,
-        fmt_k(job.config.k_policy),
-        job.config.compression,
-        job.decoder,
-        fmt_priority(&job.config.priority_classes),
-        m.seed,
-        m.total_cycles,
-        m.idle_fraction,
-        m.stall_cycles,
-        m.decode_windows,
-        m.peak_backlog,
-        m.injections,
-        m.injection_failures,
-        m.preps_started,
-        m.preps_cancelled,
-        m.preemptions,
-        m.preemptions_rejected,
-        m.waitgraph_peak_edges,
-        m.preemptions_class,
-        m.stall_ancilla,
-        m.stall_decoder,
-        m.stall_route,
-        m.stall_class,
-        m.cnot_p50,
-        m.cnot_p99,
-        m.decode_p99,
-        m.decode_defects,
-        m.decode_growth_steps,
-        m.decode_failures,
-    )
+    let cells: Vec<String> = GRID.iter().map(|g| g.2(job)).collect();
+    let mut out = cells.join(",");
+    for v in &m.0 {
+        let _ = write!(out, ",{v}");
+    }
+    out
 }
 
 /// Parses the metric columns of a [`csv_row`] back into [`JobMetrics`]
 /// (used by checkpoint resume; the job columns are identified by
 /// fingerprint, not re-parsed).
+///
+/// Only rows of the current width parse: rows written before a column was
+/// added fail here, and the checkpoint loader skips them (those jobs
+/// simply re-run).
 pub fn parse_csv_metrics(row: &str) -> Result<JobMetrics, String> {
-    let cols: Vec<&str> = row.split(',').collect();
-    // 32 columns since the `engine_threads` column was dropped; older
-    // 20/21/23/27/30/33-column checkpoint rows fail here and are skipped
-    // gracefully by the checkpoint loader (the jobs simply re-run).
-    if cols.len() != 32 {
-        return Err(format!("expected 32 columns, got {}", cols.len()));
+    let cells: Vec<&str> = row.split(',').collect();
+    let want = GRID.len() + NUM_COLUMNS;
+    if cells.len() != want {
+        return Err(format!("expected {want} columns, got {}", cells.len()));
     }
-    let f = |i: usize| -> Result<f64, String> {
-        cols[i]
-            .parse()
-            .map_err(|_| format!("bad float `{}` in column {i}", cols[i]))
-    };
-    let u = |i: usize| -> Result<u64, String> {
-        cols[i]
-            .parse()
-            .map_err(|_| format!("bad integer `{}` in column {i}", cols[i]))
-    };
-    Ok(JobMetrics {
-        seed: u(8)?,
-        total_cycles: f(9)?,
-        idle_fraction: f(10)?,
-        stall_cycles: f(11)?,
-        decode_windows: u(12)?,
-        peak_backlog: u(13)?,
-        injections: u(14)?,
-        injection_failures: u(15)?,
-        preps_started: u(16)?,
-        preps_cancelled: u(17)?,
-        preemptions: u(18)?,
-        preemptions_rejected: u(19)?,
-        waitgraph_peak_edges: u(20)?,
-        preemptions_class: u(21)?,
-        stall_ancilla: u(22)?,
-        stall_decoder: u(23)?,
-        stall_route: u(24)?,
-        stall_class: u(25)?,
-        cnot_p50: u(26)?,
-        cnot_p99: u(27)?,
-        decode_p99: u(28)?,
-        decode_defects: u(29)?,
-        decode_growth_steps: u(30)?,
-        decode_failures: u(31)?,
-    })
+    let mut values = [Value::U64(0); NUM_COLUMNS];
+    for ((slot, column), text) in values.iter_mut().zip(COLUMNS).zip(&cells[GRID.len()..]) {
+        *slot = column.parse(text)?;
+    }
+    Ok(JobMetrics(values))
 }
 
 /// Aggregate statistics of one sweep point across its seeds.
@@ -232,36 +284,20 @@ pub struct PointSummary {
     pub mean_stall_cycles: f64,
     /// Mean stall fraction of the makespan (`stall / total`, averaged).
     pub stall_fraction: f64,
-    /// Largest decode backlog across seeds.
-    pub peak_backlog: u64,
-    /// Total ledger preemptions across seeds.
-    pub preemptions: u64,
-    /// Total cycle-rejected preemptions across seeds.
-    pub preemptions_rejected: u64,
-    /// Total class-lattice-granted preemptions across seeds.
-    pub preemptions_class: u64,
-    /// Largest wait-for-graph edge peak across seeds.
-    pub waitgraph_peak_edges: u64,
-    /// Total task-cycles stalled on ancilla contention across seeds.
-    pub stall_ancilla: u64,
-    /// Total task-cycles stalled on decoder backlog across seeds.
-    pub stall_decoder: u64,
-    /// Total task-cycles stalled on blocked routes across seeds.
-    pub stall_route: u64,
-    /// Total task-cycles stalled by class displacement across seeds.
-    pub stall_class: u64,
-    /// Mean of the per-seed median CNOT latencies (cycles).
-    pub cnot_p50: f64,
-    /// Worst per-seed p99 CNOT latency across seeds (cycles).
-    pub cnot_p99: u64,
-    /// Worst per-seed p99 decode-window latency across seeds (cycles).
-    pub decode_p99: u64,
-    /// Total defects the union-find decoder observed across seeds.
-    pub decode_defects: u64,
-    /// Total union-find growth half-steps across seeds.
-    pub decode_growth_steps: u64,
-    /// Total logical-cut crossings after correction across seeds.
-    pub decode_failures: u64,
+    /// `(column, value)` for every aggregated column, in [`COLUMNS`] order.
+    aggregates: Vec<(&'static str, Value)>,
+}
+
+impl PointSummary {
+    /// The per-point aggregate of the metric column called `name` (its sum,
+    /// maximum or mean across the point's successful seeds); `None` for a
+    /// column that is not aggregated or does not exist.
+    pub fn aggregate(&self, name: &str) -> Option<Value> {
+        self.aggregates
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|&(_, v)| v)
+    }
 }
 
 /// Smallest value `v` in sorted `xs` such that at least `p` of samples ≤ `v`.
@@ -309,7 +345,7 @@ impl SweepResults {
     /// The per-job CSV document (header + one row per successful job, in
     /// job order; failed jobs are omitted).
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(CSV_HEADER);
+        let mut out = csv_header();
         out.push('\n');
         for (job, m) in self.ok_rows() {
             out.push_str(&csv_row(job, m));
@@ -324,37 +360,35 @@ impl SweepResults {
     /// aggregate correctly too.
     pub fn summaries(&self) -> Vec<PointSummary> {
         let mut out = Vec::new();
-        let mut chunks: Vec<&[JobRecord]> = Vec::new();
-        let mut start = 0;
-        for i in 1..=self.records.len() {
-            if i == self.records.len() || self.records[i].job.point != self.records[start].job.point
-            {
-                chunks.push(&self.records[start..i]);
-                start = i;
-            }
-        }
-        for chunk in chunks {
-            let Some(first) = chunk.first() else { continue };
+        for chunk in self.records.chunk_by(|a, b| a.job.point == b.job.point) {
+            let first = &chunk[0];
             let ok: Vec<&JobMetrics> = chunk
                 .iter()
                 .filter_map(|r| r.outcome.as_ref().ok())
                 .collect();
-            let mut cycles: Vec<f64> = ok.iter().map(|m| m.total_cycles).collect();
-            cycles.sort_by(f64::total_cmp);
+            let total = |m: &JobMetrics| m.0[TOTAL_CYCLES].as_f64();
+            let stall = |m: &JobMetrics| m.0[STALL_CYCLES].as_f64();
+            let mut cycles: Vec<f64> = ok.iter().map(|m| total(m)).collect();
             let n = ok.len().max(1) as f64;
-            let mean_cycles = ok.iter().map(|m| m.total_cycles).sum::<f64>() / n;
-            let mean_stall = ok.iter().map(|m| m.stall_cycles).sum::<f64>() / n;
+            let mean_cycles = cycles.iter().sum::<f64>() / n;
+            cycles.sort_by(f64::total_cmp);
+            let mean_stall = ok.iter().map(|m| stall(m)).sum::<f64>() / n;
             let stall_fraction = ok
                 .iter()
                 .map(|m| {
-                    if m.total_cycles > 0.0 {
-                        m.stall_cycles / m.total_cycles
+                    if total(m) > 0.0 {
+                        stall(m) / total(m)
                     } else {
                         0.0
                     }
                 })
                 .sum::<f64>()
                 / n;
+            let aggregates = COLUMNS
+                .iter()
+                .enumerate()
+                .filter_map(|(i, c)| Some((c.name, c.aggregate(ok.iter().map(|m| m.0[i]), n)?)))
+                .collect();
             out.push(PointSummary {
                 point: first.job.point,
                 job: first.job.clone(),
@@ -366,21 +400,7 @@ impl SweepResults {
                 max_cycles: cycles.last().copied().unwrap_or(0.0),
                 mean_stall_cycles: mean_stall,
                 stall_fraction,
-                peak_backlog: ok.iter().map(|m| m.peak_backlog).max().unwrap_or(0),
-                preemptions: ok.iter().map(|m| m.preemptions).sum(),
-                preemptions_rejected: ok.iter().map(|m| m.preemptions_rejected).sum(),
-                preemptions_class: ok.iter().map(|m| m.preemptions_class).sum(),
-                waitgraph_peak_edges: ok.iter().map(|m| m.waitgraph_peak_edges).max().unwrap_or(0),
-                stall_ancilla: ok.iter().map(|m| m.stall_ancilla).sum(),
-                stall_decoder: ok.iter().map(|m| m.stall_decoder).sum(),
-                stall_route: ok.iter().map(|m| m.stall_route).sum(),
-                stall_class: ok.iter().map(|m| m.stall_class).sum(),
-                cnot_p50: ok.iter().map(|m| m.cnot_p50 as f64).sum::<f64>() / n,
-                cnot_p99: ok.iter().map(|m| m.cnot_p99).max().unwrap_or(0),
-                decode_p99: ok.iter().map(|m| m.decode_p99).max().unwrap_or(0),
-                decode_defects: ok.iter().map(|m| m.decode_defects).sum(),
-                decode_growth_steps: ok.iter().map(|m| m.decode_growth_steps).sum(),
-                decode_failures: ok.iter().map(|m| m.decode_failures).sum(),
+                aggregates,
             });
         }
         out
@@ -408,17 +428,19 @@ impl SweepResults {
         out.push_str("  \"summaries\": [\n");
         let summaries = self.summaries();
         for (i, s) in summaries.iter().enumerate() {
+            out.push_str("    {");
+            for (j, (name, quoted, cell)) in GRID.iter().enumerate() {
+                let sep = if j == 0 { "" } else { ", " };
+                let cell = cell(&s.job);
+                let _ = if *quoted {
+                    write!(out, "{sep}\"{name}\": \"{}\"", json_escape(&cell))
+                } else {
+                    write!(out, "{sep}\"{name}\": {cell}")
+                };
+            }
             let _ = write!(
                 out,
-                "    {{\"workload\": \"{}\", \"scheduler\": \"{}\", \"distance\": {}, \"error_rate\": {}, \"k\": \"{}\", \"compression\": {}, \"decoder\": \"{}\", \"priority\": \"{}\", \"completed\": {}, \"mean_cycles\": {}, \"p50_cycles\": {}, \"p99_cycles\": {}, \"min_cycles\": {}, \"max_cycles\": {}, \"mean_stall_cycles\": {}, \"stall_fraction\": {}, \"peak_backlog\": {}, \"preemptions\": {}, \"preemptions_rejected\": {}, \"preemptions_class\": {}, \"waitgraph_peak_edges\": {}, \"stall_ancilla\": {}, \"stall_decoder\": {}, \"stall_route\": {}, \"stall_class\": {}, \"cnot_p50\": {}, \"cnot_p99\": {}, \"decode_p99\": {}, \"decode_defects\": {}, \"decode_growth_steps\": {}, \"decode_failures\": {}}}",
-                json_escape(&s.job.workload),
-                s.job.config.scheduler,
-                s.job.config.distance,
-                s.job.config.physical_error_rate,
-                fmt_k(s.job.config.k_policy),
-                s.job.config.compression,
-                s.job.decoder,
-                fmt_priority(&s.job.config.priority_classes),
+                ", \"completed\": {}, \"mean_cycles\": {}, \"p50_cycles\": {}, \"p99_cycles\": {}, \"min_cycles\": {}, \"max_cycles\": {}, \"mean_stall_cycles\": {}, \"stall_fraction\": {}",
                 s.completed,
                 s.mean_cycles,
                 s.p50_cycles,
@@ -427,23 +449,15 @@ impl SweepResults {
                 s.max_cycles,
                 s.mean_stall_cycles,
                 s.stall_fraction,
-                s.peak_backlog,
-                s.preemptions,
-                s.preemptions_rejected,
-                s.preemptions_class,
-                s.waitgraph_peak_edges,
-                s.stall_ancilla,
-                s.stall_decoder,
-                s.stall_route,
-                s.stall_class,
-                s.cnot_p50,
-                s.cnot_p99,
-                s.decode_p99,
-                s.decode_defects,
-                s.decode_growth_steps,
-                s.decode_failures
             );
-            out.push_str(if i + 1 < summaries.len() { ",\n" } else { "\n" });
+            for (name, v) in &s.aggregates {
+                let _ = write!(out, ", \"{name}\": {v}");
+            }
+            out.push_str(if i + 1 < summaries.len() {
+                "},\n"
+            } else {
+                "}\n"
+            });
         }
         out.push_str("  ],\n  \"rows\": [\n");
         let rows: Vec<String> = self
@@ -461,6 +475,16 @@ impl SweepResults {
 
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
+}
+
+/// Metrics with a distinct value in every column (fractional ones do not
+/// round-trip through a short decimal), for tests.
+#[cfg(test)]
+pub(crate) fn sample_metrics(seed: u64) -> JobMetrics {
+    JobMetrics(std::array::from_fn(|i| match COLUMNS[i].extract {
+        Extract::U64(_) => Value::U64(seed * 100 + i as u64),
+        Extract::F64(_) => Value::F64(seed as f64 / (i as f64 + 3.0)),
+    }))
 }
 
 #[cfg(test)]
@@ -483,38 +507,20 @@ mod tests {
             ..SweepSpec::default()
         };
         let job = spec.expand().remove(0);
-        let m = JobMetrics {
-            seed: 1,
-            total_cycles: 123.456789,
-            idle_fraction: 0.9876543210123,
-            stall_cycles: 1.0 / 3.0,
-            decode_windows: 42,
-            peak_backlog: 7,
-            injections: 100,
-            injection_failures: 49,
-            preps_started: 120,
-            preps_cancelled: 3,
-            preemptions: 2,
-            preemptions_rejected: 5,
-            waitgraph_peak_edges: 17,
-            preemptions_class: 3,
-            stall_ancilla: 11,
-            stall_decoder: 6,
-            stall_route: 4,
-            stall_class: 1,
-            cnot_p50: 21,
-            cnot_p99: 35,
-            decode_p99: 12,
-            decode_defects: 9,
-            decode_growth_steps: 88,
-            decode_failures: 1,
-        };
+        let m = sample_metrics(7);
         let row = csv_row(&job, &m);
+        assert_eq!(
+            row.split(',').count(),
+            csv_header().split(',').count(),
+            "{row}"
+        );
         assert_eq!(
             parse_csv_metrics(&row).unwrap(),
             m,
             "floats must round-trip"
         );
         assert!(parse_csv_metrics("a,b,c").is_err());
+        let err = parse_csv_metrics(&row.replacen(",700,", ",7.5,", 1)).unwrap_err();
+        assert_eq!(err, "bad integer `7.5` in column `seed`");
     }
 }

@@ -3,7 +3,8 @@
 //! and with 8 workers must produce byte-identical CSV and identical
 //! aggregate statistics.
 
-use rescq_harness::{run_sweep, RunOptions, SweepSpec};
+use rescq_harness::{run_sweep, RunOptions, SweepSpec, Value};
+use std::path::Path;
 
 fn spec_2x2x2() -> SweepSpec {
     SweepSpec::parse(
@@ -48,7 +49,7 @@ fn one_worker_and_eight_workers_byte_identical() {
         assert_eq!(a.p99_cycles, b.p99_cycles);
         assert_eq!(a.mean_stall_cycles, b.mean_stall_cycles);
         assert_eq!(a.stall_fraction, b.stall_fraction);
-        assert_eq!(a.peak_backlog, b.peak_backlog);
+        assert_eq!(a.aggregate("peak_backlog"), b.aggregate("peak_backlog"));
     }
 
     // The cache sharing factor is also deterministic: 2 circuits,
@@ -72,11 +73,27 @@ fn harness_rows_match_direct_simulation() {
         let circuit = rescq_workloads::generate(&record.job.workload, spec.circuit_seed).unwrap();
         let direct = rescq_sim::simulate(&circuit, &record.job.config).unwrap();
         let metrics = record.outcome.as_ref().expect("job succeeded");
-        assert_eq!(metrics.total_cycles, direct.total_cycles());
-        assert_eq!(metrics.stall_cycles, direct.decoder_stall_cycles());
-        assert_eq!(metrics.injections, direct.counters.injections);
-        assert_eq!(metrics.seed, direct.seed);
+        assert_eq!(
+            metrics.get("total_cycles"),
+            Some(Value::F64(direct.total_cycles()))
+        );
+        assert_eq!(
+            metrics.get("stall_cycles"),
+            Some(Value::F64(direct.decoder_stall_cycles()))
+        );
+        assert_eq!(
+            metrics.get("injections"),
+            Some(Value::U64(direct.counters.injections))
+        );
+        assert_eq!(metrics.get("seed"), Some(Value::U64(direct.seed)));
     }
+}
+
+/// The sweep JSON without its one wall-clock line.
+fn strip_timing(json: &str) -> String {
+    json.split_inclusive('\n')
+        .filter(|l| !l.contains("elapsed_secs"))
+        .collect()
 }
 
 #[test]
@@ -84,11 +101,32 @@ fn json_document_is_reproducible_modulo_timing() {
     let spec = spec_2x2x2();
     let a = run_sweep(&spec, &RunOptions::with_threads(1)).unwrap();
     let b = run_sweep(&spec, &RunOptions::with_threads(8)).unwrap();
-    let strip = |json: &str| -> String {
-        json.lines()
-            .filter(|l| !l.contains("elapsed_secs"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(strip(&a.to_json()), strip(&b.to_json()));
+    assert_eq!(strip_timing(&a.to_json()), strip_timing(&b.to_json()));
+}
+
+/// Pins the bytes of the sweep CSV and JSON across versions: a change to
+/// any column, its order or its formatting must show up as a golden diff.
+/// Regenerate with `RESCQ_BLESS=1 cargo test -p rescq-harness --test
+/// determinism`.
+#[test]
+fn sweep_outputs_match_golden() {
+    let results = run_sweep(&spec_2x2x2(), &RunOptions::with_threads(2)).unwrap();
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    for (file, got) in [
+        ("sweep_2x2x2.csv", results.to_csv()),
+        ("sweep_2x2x2.json", strip_timing(&results.to_json())),
+    ] {
+        let path = golden.join(file);
+        if std::env::var_os("RESCQ_BLESS").is_some() {
+            std::fs::write(&path, &got).unwrap();
+            continue;
+        }
+        let want = std::fs::read_to_string(&path)
+            .expect("golden missing — run with RESCQ_BLESS=1 to create it");
+        assert_eq!(
+            got, want,
+            "sweep output diverged from tests/golden/{file}; if the columns \
+             changed intentionally, re-bless with RESCQ_BLESS=1"
+        );
+    }
 }

@@ -555,15 +555,7 @@ impl RtEngine<'_> {
                 c.mst_incremental_updates = self.mst.incremental_updates();
                 c.path_cache_hits = self.path_cache.hits();
                 c.path_cache_misses = self.path_cache.misses();
-                let dec = self.decoder.stats();
-                debug_assert!(self.decoder.backlog().is_conserved());
-                debug_assert_eq!(self.decoder.backlog().in_flight(), 0);
-                c.decode_windows = dec.windows_submitted;
-                c.decoder_stall_rounds = dec.stall_rounds;
-                c.decoder_peak_backlog = dec.peak_backlog;
-                c.decode_defects = dec.defects;
-                c.decode_growth_steps = dec.growth_steps;
-                c.decode_failures = dec.logical_failures;
+                c.record_decoder(&self.decoder);
                 let ls = self.ledger.stats();
                 c.preemptions = ls.preemptions;
                 c.preemptions_rejected_cycle = ls.preemptions_rejected_cycle;

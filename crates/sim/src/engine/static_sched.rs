@@ -289,15 +289,7 @@ pub(crate) fn run_static(
         );
     }
 
-    let dec = decoder.stats();
-    debug_assert!(decoder.backlog().is_conserved());
-    debug_assert_eq!(decoder.backlog().in_flight(), 0);
-    counters.decode_windows = dec.windows_submitted;
-    counters.decoder_stall_rounds = dec.stall_rounds;
-    counters.decoder_peak_backlog = dec.peak_backlog;
-    counters.decode_defects = dec.defects;
-    counters.decode_growth_steps = dec.growth_steps;
-    counters.decode_failures = dec.logical_failures;
+    counters.record_decoder(&decoder);
     counters.waitgraph_peak_edges = ledger.stats().waitgraph_peak_edges;
     debug_assert_eq!(
         ledger.stats().preemptions,

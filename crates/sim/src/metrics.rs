@@ -2,6 +2,7 @@
 //! idle fractions (Fig 11/12), and classical-overhead counters (§5.4).
 
 use rescq_core::SchedulerKind;
+use rescq_decoder::DecoderRuntime;
 use rescq_telemetry::{HistogramSummary, MetricsSnapshot};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -180,6 +181,28 @@ pub struct RunCounters {
     /// Windows whose residual error crossed the logical cut after
     /// correction (union-find decoder only).
     pub decode_failures: u64,
+    /// Union-find merges of distinct clusters during growth.
+    pub decode_merges: u64,
+    /// Erasure edges the union-find decoder peeled into corrections.
+    pub decode_peeled_edges: u64,
+}
+
+impl RunCounters {
+    /// Copies a drained decoder's end-of-run statistics into the decode
+    /// counters. Both engines finish a run through this one method.
+    pub fn record_decoder(&mut self, decoder: &DecoderRuntime) {
+        debug_assert!(decoder.backlog().is_conserved());
+        debug_assert_eq!(decoder.backlog().in_flight(), 0);
+        let dec = decoder.stats();
+        self.decode_windows = dec.windows_submitted;
+        self.decoder_stall_rounds = dec.stall_rounds;
+        self.decoder_peak_backlog = dec.peak_backlog;
+        self.decode_defects = dec.defects;
+        self.decode_growth_steps = dec.growth_steps;
+        self.decode_failures = dec.logical_failures;
+        self.decode_merges = dec.merges;
+        self.decode_peeled_edges = dec.peeled_edges;
+    }
 }
 
 /// The result of one simulation run.
@@ -306,6 +329,8 @@ pub fn metrics_snapshot(report: &ExecutionReport) -> MetricsSnapshot {
         .counter("rescq_decode_defects", c.decode_defects)
         .counter("rescq_decode_growth_steps", c.decode_growth_steps)
         .counter("rescq_decode_failures", c.decode_failures)
+        .counter("rescq_decode_merges", c.decode_merges)
+        .counter("rescq_decode_peeled_edges", c.decode_peeled_edges)
         .gauge("rescq_total_cycles", report.total_cycles())
         .gauge("rescq_idle_fraction", report.idle_fraction())
         .gauge("rescq_achieved_compression", report.achieved_compression)

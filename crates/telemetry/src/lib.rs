@@ -3,8 +3,9 @@
 //! Zero-dependency instrumentation for the RESCQ reproduction: a
 //! [`Recorder`] sink trait, a bounded in-memory [`RingRecorder`] with
 //! per-phase wall-clock histograms, Chrome trace-event export
-//! ([`chrome`]), schema-versioned perf baselines ([`perf`]), and the
-//! sweep progress heartbeat ([`progress`]).
+//! ([`chrome`]), trace analytics ([`analyze`]), versioned metrics
+//! snapshots ([`snapshot`]) and the sweep progress heartbeat
+//! ([`progress`]).
 //!
 //! ## Determinism contract
 //!
@@ -15,7 +16,7 @@
 //! locking, no timing calls. With a recorder attached, every recorded
 //! quantity that feeds back into reports is derived from simulation
 //! time (rounds/cycles), never wall-clock; wall-clock lives only in the
-//! trace, the phase histograms, and perf baselines. Schedules and
+//! trace and the phase histograms. Schedules and
 //! reports are therefore byte-identical with tracing on or off (property
 //! `tracing_is_inert`).
 //!
@@ -38,15 +39,11 @@
 
 pub mod analyze;
 pub mod chrome;
-pub mod perf;
 pub mod progress;
 pub mod snapshot;
 
 pub use analyze::{analyze_events, parse_trace, AnalyzeReport, AncillaUtil, ParsedTrace, PathLink};
 pub use chrome::{normalize_timestamps, validate_trace, TraceStats};
-pub use perf::{
-    compare, delta_table, DeltaLevel, PerfBaseline, PerfDelta, PerfEntry, PERF_SCHEMA_VERSION,
-};
 pub use progress::{progress_line, Heartbeat};
 pub use snapshot::{HistogramSummary, MetricsSnapshot, METRICS_SCHEMA_VERSION};
 

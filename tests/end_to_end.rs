@@ -233,17 +233,20 @@ fn union_find_stress_run_matches_full_edge_scan_golden() {
     // scanned every edge of the detector graph; cluster-local growth must
     // reproduce them. `[total_rounds, decode_windows, decode_latency
     // samples, decode_defects, decode_growth_steps, decode_failures,
-    // decoder_stall_rounds]`.
+    // decoder_stall_rounds, decode_merges, decode_peeled_edges]`; the last
+    // two were recorded once they reached the run counters (the growth
+    // equivalence grid pins them against the full-edge scan per window).
     use rescq_repro::decoder::DecoderConfig;
     use SchedulerKind::{Greedy, Rescq};
     let circuit = rescq_repro::workloads::generate("decoder_stress_n64", 1).unwrap();
-    let cases: [(SchedulerKind, u64, [u64; 7]); 6] = [
-        (Rescq, 1, [47460, 1508, 1508, 29244, 181242, 3, 869431]),
-        (Rescq, 2, [36880, 1454, 1454, 28699, 178346, 2, 854495]),
-        (Rescq, 3, [58606, 1568, 1568, 31358, 193862, 6, 921713]),
-        (Greedy, 1, [83625, 1521, 1521, 46154, 286364, 4, 1322594]),
-        (Greedy, 2, [80162, 1548, 1548, 46679, 291746, 5, 1345799]),
-        (Greedy, 3, [88464, 1601, 1601, 48607, 301910, 11, 1392690]),
+    #[rustfmt::skip]
+    let cases: [(SchedulerKind, u64, [u64; 9]); 6] = [
+        (Rescq, 1, [47460, 1508, 1508, 29244, 181242, 3, 869431, 85441, 16912]),
+        (Rescq, 2, [36880, 1454, 1454, 28699, 178346, 2, 854495, 84117, 16693]),
+        (Rescq, 3, [58606, 1568, 1568, 31358, 193862, 6, 921713, 91601, 18152]),
+        (Greedy, 1, [83625, 1521, 1521, 46154, 286364, 4, 1322594, 135160, 26759]),
+        (Greedy, 2, [80162, 1548, 1548, 46679, 291746, 5, 1345799, 137348, 27251]),
+        (Greedy, 3, [88464, 1601, 1601, 48607, 301910, 11, 1392690, 142489, 28163]),
     ];
     for (scheduler, seed, want) in cases {
         let config = SimConfig::builder()
@@ -262,10 +265,13 @@ fn union_find_stress_run_matches_full_edge_scan_golden() {
             c.decode_growth_steps,
             c.decode_failures,
             c.decoder_stall_rounds,
+            c.decode_merges,
+            c.decode_peeled_edges,
         ];
         assert_eq!(
             got, want,
-            "{scheduler} seed {seed}: [rounds, windows, decoded, defects, growth, failures, stall]"
+            "{scheduler} seed {seed}: [rounds, windows, decoded, defects, growth, failures, stall, \
+             merges, peeled]"
         );
     }
 }
